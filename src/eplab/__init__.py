@@ -20,20 +20,23 @@ from .errors import (
     InputError,
     TrivialSubspaceError,
 )
-from .kernel import RankDecision, as_matrix, numerical_rank, pinv, psd_check
+from .kernel import RankDecision, as_matrix, numerical_rank, psd_check
 from .subspaces import (
     AngleReport,
     BouldinComponents,
+    Factorization,
     Subspace,
     bouldin_angle,
     complement_within,
     equality_residual,
     equals,
+    factor,
     includes,
     inclusion_residual,
     intersect,
     kernel_basis,
     minimal_angle,
+    pinv,
     projector,
     range_basis,
     subspace_sum,

@@ -22,7 +22,7 @@ from .errors import EplabError, InapplicableError, InputError
 from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
 from .matfile import read_matrix, write_matrix
-from .predicates import classify
+from .predicates import FLAG_NAMES, classify
 from .products import djordjevic_check, hartwig_katz, johnson_vinoth_check
 from .structure import (
     block_kernel_inclusions,
@@ -94,16 +94,7 @@ def parse_size_list(text):
 
 def _classification_result(report):
     return {
-        "flags": {
-            "normal": report.normal,
-            "hyponormal": report.hyponormal,
-            "quasiposinormal": report.quasiposinormal,
-            "posinormal": report.posinormal,
-            "coposinormal": report.coposinormal,
-            "ep": report.ep,
-            "hypo_ep": report.hypo_ep,
-            "ep_r": report.ep_r,
-        },
+        "flags": {name: getattr(report, name) for name in FLAG_NAMES},
         "residuals": report.residuals,
         "rank": {
             "rank": report.rank.rank,
@@ -207,32 +198,11 @@ def _csv_cell(value):
 def cmd_truncate(args, cfg):
     sizes = parse_size_list(args.dims)
     series = sweep(args.family, sizes, cfg)
-    rows = [
-        {
-            "size": m.size,
-            "cos_min_angle": m.cos_min_angle,
-            "bouldin_cos": m.bouldin_cos,
-            "sigma_min_plus": m.sigma_min_plus,
-            "ab_ep": m.ab_ep,
-        }
-        for m in series.metrics
-    ]
+    columns = ("size", "cos_min_angle", "bouldin_cos", "sigma_min_plus", "ab_ep")
+    rows = [{key: getattr(m, key) for key in columns} for m in series.metrics]
     if args.out:
-        header = "size,cos_min_angle,bouldin_cos,sigma_min_plus,ab_ep"
-        lines = [header]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _csv_cell(row[key])
-                    for key in (
-                        "size",
-                        "cos_min_angle",
-                        "bouldin_cos",
-                        "sigma_min_plus",
-                        "ab_ep",
-                    )
-                )
-            )
+        lines = [",".join(columns)]
+        lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = {
         "family": series.family,

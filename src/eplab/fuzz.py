@@ -28,7 +28,7 @@ from .generators import (
     random_same_kernel_pair,
     random_unitary,
 )
-from .predicates import classify, ep_via_projectors, hypo_ep_check, is_ep
+from .predicates import classify, is_ep
 from .products import (
     group_invertible_check,
     hartwig_katz,
@@ -247,8 +247,10 @@ def _t_collapse(rng, dims, cfg):
         violations.append(
             ("hyponormal_normal", {"commutator": report.residuals["commutator"]})
         )
-    ep_proj, res_proj = ep_via_projectors(m, cfg)
-    if hypo_ep_check(m, cfg) != ep_proj and not report.conflicts:
+    # classify's projector commutator and hypo-EP flag are exactly what
+    # ep_via_projectors and hypo_ep_check compute
+    res_proj = report.residuals["projector_commutator"]
+    if report.hypo_ep != (res_proj <= cfg.subspace_tol) and not report.conflicts:
         violations.append(("route_agreement", {"projector_residual": res_proj}))
     if report.conflicts:
         violations.append(("classification_conflict", {"conflicts": "; ".join(report.conflicts)}))

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, resolve
 from .errors import InapplicableError, InputError
-from .kernel import numerical_rank, require_square, svd_with_rank
-from .predicates import classify, is_ep
+from .kernel import numerical_rank, require_square
+from .predicates import _ep, classify
 from .subspaces import (
     Subspace,
     bouldin_angle,
+    factor,
     includes,
     kernel_basis,
     minimal_angle,
@@ -152,18 +153,10 @@ def random_commuting_ep_pair(n, r, seed=None, cond_cap=1e4):
     a_core = v @ np.diag(spectrum()) @ v.conj().T
     b_core = v @ np.diag(spectrum()) @ v.conj().T
     z_rank = int(rng.integers(0, n - r + 1))
-    z = _ep_block(rng, n - r, z_rank, cond_cap)
+    z = random_ep(n - r, z_rank, rng, cond_cap)
     a = _embed(u, a_core, np.zeros((n - r, n - r), dtype=np.complex128))
     b = _embed(u, b_core, z)
     return a, b
-
-
-def _ep_block(rng, n, r, cond_cap):
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    u = random_unitary(n, rng)
-    c = _invertible_core(rng, r, cond_cap)
-    return _embed(u, c, np.zeros((n - r, n - r), dtype=np.complex128))
 
 
 def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
@@ -185,14 +178,14 @@ def random_johnson_vinoth_pair(a, seed=None, cond_cap=1e4):
     splitting, with a fresh invertible core.
     """
     a = require_square(a)
-    ep, residual = is_ep(a)
+    f = factor(a)
+    ep, residual = _ep(f, DEFAULT_TOLERANCES)
     if not ep:
         raise InapplicableError(f"input must be EP (residual {residual:.3e})")
     rng = _rng(seed)
-    _, _, vh, decision = svd_with_rank(a)
-    r = decision.rank
+    r = f.rank
     n = a.shape[0]
-    u = vh.conj().T  # [Q | K], Q spanning R(A*) = R(A)
+    u = f.vh.conj().T  # [Q | K], Q spanning R(A*) = R(A)
     core = _invertible_core(rng, r, cond_cap)
     return _embed(u, core, np.zeros((n - r, n - r), dtype=np.complex128))
 

@@ -1,10 +1,11 @@
-"""Dense complex-matrix primitives: numerical rank, pseudoinverse, PSD test.
+"""Dense complex-matrix primitives: numerical rank policy, PSD test.
 
 Every downstream predicate is built on the single rank policy implemented
 here: singular values above ``rank_multiplier * eps * max(m, n) * sigma_max``
-count toward the rank, everything at or below does not.  Threading one
-:class:`RankDecision` through range/kernel/pseudoinverse computations keeps
-all of them consistent for a given matrix.
+count toward the rank, everything at or below does not.  The one
+:class:`RankDecision` of a matrix's factorization
+(:class:`eplab.subspaces.Factorization`) is threaded through its
+range/kernel/pseudoinverse, which keeps all of them consistent.
 """
 
 from dataclasses import dataclass
@@ -59,38 +60,12 @@ def decide_rank(singular_values, shape, cfg=None):
     return RankDecision(rank=rank, singular_values=s, threshold=tol)
 
 
-def svd_with_rank(m, cfg=None):
-    """Full SVD plus the shared rank decision.
-
-    Returns ``(u, s, vh, decision)``.  The first ``decision.rank`` columns of
-    ``u`` span the range, the remaining columns of ``vh.conj().T`` span the
-    kernel, so one call yields every subspace attached to ``m``.
-    """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return u, s, vh, decide_rank(s, m.shape, cfg)
-
-
 def numerical_rank(m, cfg=None):
-    """Rank decision for ``m`` under the shared threshold policy."""
+    """Rank decision for ``m`` under the shared threshold policy, from its
+    singular values alone (no singular vectors)."""
     m = as_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     return decide_rank(s, m.shape, cfg)
-
-
-def pinv(m, cfg=None):
-    """Moore-Penrose pseudoinverse with the shared rank cutoff.
-
-    Singular values at or below the rank threshold are zeroed, so the
-    pseudoinverse of the zero matrix is the zero matrix of transposed shape.
-    """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = decide_rank(s, m.shape, cfg).rank
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    inv = 1.0 / s[:r]
-    return (vh[:r].conj().T * inv) @ u[:, :r].conj().T
 
 
 def psd_check(h, cfg=None):

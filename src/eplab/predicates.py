@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ToleranceConfig, resolve
-from .kernel import (
-    RankDecision,
-    decide_rank,
-    min_symmetric_eigenvalue,
-    psd_check,
-    require_square,
+from .kernel import RankDecision, min_symmetric_eigenvalue, psd_check, require_square
+from .subspaces import Subspace, equality_residual, factor, inclusion_residual
+
+# the eight predicate flags of a ClassificationReport, in report order
+FLAG_NAMES = (
+    "normal", "hyponormal", "quasiposinormal", "posinormal",
+    "coposinormal", "ep", "hypo_ep", "ep_r",
 )
-from .subspaces import Subspace, equality_residual, inclusion_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,25 +38,9 @@ class ClassificationReport:
     conflicts: list = field(default_factory=list)
 
 
-def _svd_parts(m, cfg):
-    """One SVD feeding every subspace attached to ``m``.
-
-    Returns (range, corange, kernel, cokernel, decision, pinv) where corange
-    spans R(m*) and cokernel spans N(m*); the shared decision keeps all six
-    objects rank-consistent.
-    """
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    decision = decide_rank(s, m.shape, cfg)
-    r = decision.rank
-    rng = Subspace(m.shape[0], u[:, :r])
-    corng = Subspace(m.shape[1], vh[:r].conj().T)
-    ker = Subspace(m.shape[1], vh[r:].conj().T)
-    coker = Subspace(m.shape[0], u[:, r:])
-    if r:
-        mp = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-    else:
-        mp = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return rng, corng, ker, coker, decision, mp
+def _projector_commutator(m, f):
+    """m_pinv m - m m_pinv, from the factorization ``f`` of ``m``."""
+    return f.pinv @ m - m @ f.pinv
 
 
 def ep_via_projectors(m, cfg=None):
@@ -66,8 +50,7 @@ def ep_via_projectors(m, cfg=None):
     """
     cfg = resolve(cfg)
     m = require_square(m)
-    _, _, _, _, _, mp = _svd_parts(m, cfg)
-    residual = float(np.linalg.norm(mp @ m - m @ mp))
+    residual = float(np.linalg.norm(_projector_commutator(m, factor(m, cfg))))
     return residual <= cfg.subspace_tol, residual
 
 
@@ -75,8 +58,7 @@ def hypo_ep_check(m, cfg=None):
     """PSD route: m_pinv m - m m_pinv positive semidefinite."""
     cfg = resolve(cfg)
     m = require_square(m)
-    _, _, _, _, _, mp = _svd_parts(m, cfg)
-    d = mp @ m - m @ mp
+    d = _projector_commutator(m, factor(m, cfg))
     d = 0.5 * (d + d.conj().T)  # absorb matmul roundoff before the eigen test
     return psd_check(d, cfg)
 
@@ -86,8 +68,8 @@ def classify(m, cfg=None):
     cfg = resolve(cfg)
     m = require_square(m)
 
-    rng, corng, ker, coker, decision, mp = _svd_parts(m, cfg)
-    scale = float(decision.singular_values[0]) if decision.singular_values.size else 0.0
+    f = factor(m, cfg)
+    scale = float(f.s[0]) if f.s.size else 0.0
 
     if scale == 0.0:
         residuals = {
@@ -101,9 +83,8 @@ def classify(m, cfg=None):
             "hypo_ep_min_eigenvalue": 0.0,
         }
         return ClassificationReport(
-            normal=True, hyponormal=True, quasiposinormal=True, posinormal=True,
-            coposinormal=True, ep=True, hypo_ep=True, ep_r=True,
-            residuals=residuals, rank=decision, tolerances=cfg,
+            **dict.fromkeys(FLAG_NAMES, True),
+            residuals=residuals, rank=f.decision, tolerances=cfg,
         )
 
     mn = m / scale
@@ -112,24 +93,24 @@ def classify(m, cfg=None):
     normal = r_commutator <= cfg.subspace_tol
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
 
-    r_pos = inclusion_residual(rng, corng)
-    r_copos = inclusion_residual(corng, rng)
-    r_quasi = inclusion_residual(ker, coker)
+    r_pos = inclusion_residual(f.range, f.corange)
+    r_copos = inclusion_residual(f.corange, f.range)
+    r_quasi = inclusion_residual(f.kernel, f.cokernel)
     posinormal = r_pos <= cfg.subspace_tol
     coposinormal = r_copos <= cfg.subspace_tol
     quasiposinormal = r_quasi <= cfg.subspace_tol
     ep = posinormal and coposinormal
 
-    d = mp @ m - m @ mp
+    d = _projector_commutator(m, f)
     r_proj = float(np.linalg.norm(d))
     ep_proj = r_proj <= cfg.subspace_tol
     dh = 0.5 * (d + d.conj().T)
     hypo_ep = psd_check(dh, cfg)
     min_eig = min_symmetric_eigenvalue(dh)
 
-    # EP_r uses the plain transpose, not the adjoint
-    _, _, ker_t, _, _, _ = _svd_parts(m.T, cfg)
-    r_ep_r = equality_residual(ker, ker_t)
+    # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
+    ker_t = Subspace(m.shape[0], f.cokernel.basis.conj())
+    r_ep_r = equality_residual(f.kernel, ker_t)
     ep_r = r_ep_r <= cfg.subspace_tol
 
     conflicts = []
@@ -164,10 +145,16 @@ def classify(m, cfg=None):
         hypo_ep=hypo_ep,
         ep_r=ep_r,
         residuals=residuals,
-        rank=decision,
+        rank=f.decision,
         tolerances=cfg,
         conflicts=conflicts,
     )
+
+
+def _ep(f, cfg):
+    """EP test on a factorization: R(m) equals R(m*)."""
+    residual = equality_residual(f.range, f.corange)
+    return residual <= cfg.subspace_tol, residual
 
 
 def is_ep(m, cfg=None):
@@ -177,7 +164,4 @@ def is_ep(m, cfg=None):
     full report would be wasteful.
     """
     cfg = resolve(cfg)
-    m = require_square(m)
-    rng, corng, _, _, _, _ = _svd_parts(m, cfg)
-    residual = equality_residual(rng, corng)
-    return residual <= cfg.subspace_tol, residual
+    return _ep(factor(require_square(m), cfg), cfg)

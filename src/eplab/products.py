@@ -12,13 +12,13 @@ import numpy as np
 
 from .config import resolve
 from .errors import DimensionMismatchError, InapplicableError, InputError
-from .kernel import numerical_rank, require_square
-from .predicates import classify, hypo_ep_check, is_ep
+from .kernel import require_square
+from .predicates import _ep, classify, hypo_ep_check
 from .subspaces import (
     equality_residual,
+    factor,
     inclusion_residual,
     intersect,
-    kernel_basis,
     range_basis,
     subspace_sum,
 )
@@ -76,22 +76,22 @@ def _pair(a, b):
     return a, b
 
 
-def _product_report(a, b, cfg):
-    ab = a @ b
-    r_a = range_basis(a, cfg)
-    r_b = range_basis(b, cfg)
-    r_ab = range_basis(ab, cfg)
-    n_a = kernel_basis(a, cfg)
-    n_b = kernel_basis(b, cfg)
-    n_ab = kernel_basis(ab, cfg)
+def _unit(m, f):
+    """``m`` divided by its largest singular value (a zero matrix as is), so
+    that forming products or powers neither overflows nor underflows."""
+    return m / f.s[0] if f.s.size and f.s[0] else m
 
-    res_i = inclusion_residual(r_ab, r_b)
-    res_ii = inclusion_residual(n_a, n_ab)
-    a_ep, res_a = is_ep(a, cfg)
-    b_ep, res_b = is_ep(b, cfg)
-    ab_ep, res_ab = is_ep(ab, cfg)
-    res_range = equality_residual(r_ab, intersect(r_a, r_b, cfg))
-    res_kernel = equality_residual(n_ab, subspace_sum(n_a, n_b, cfg))
+
+def _product_report(a, fa, b, fb, cfg):
+    """Product facts for (a, b), given their factorizations fa and fb."""
+    fab = factor(_unit(a, fa) @ _unit(b, fb), cfg)
+    res_i = inclusion_residual(fab.range, fb.range)
+    res_ii = inclusion_residual(fa.kernel, fab.kernel)
+    a_ep, res_a = _ep(fa, cfg)
+    b_ep, res_b = _ep(fb, cfg)
+    ab_ep, res_ab = _ep(fab, cfg)
+    res_range = equality_residual(fab.range, intersect(fa.range, fb.range, cfg))
+    res_kernel = equality_residual(fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg))
 
     tol = cfg.subspace_tol
     return ProductReport(
@@ -118,7 +118,7 @@ def hartwig_katz(a, b, cfg=None):
     """All range/kernel product facts, with no hypothesis enforcement."""
     cfg = resolve(cfg)
     a, b = _pair(a, b)
-    return _product_report(a, b, cfg)
+    return _product_report(a, factor(a, cfg), b, factor(b, cfg), cfg)
 
 
 def djordjevic_check(a, b, cfg=None):
@@ -129,24 +129,26 @@ def djordjevic_check(a, b, cfg=None):
     """
     cfg = resolve(cfg)
     a, b = _pair(a, b)
-    a_ep, res_a = is_ep(a, cfg)
-    b_ep, res_b = is_ep(b, cfg)
+    fa, fb = factor(a, cfg), factor(b, cfg)
+    a_ep, res_a = _ep(fa, cfg)
+    b_ep, res_b = _ep(fb, cfg)
     if not (a_ep and b_ep):
         raise InapplicableError(
             f"both operands must be EP (residuals {res_a:.3e}, {res_b:.3e})"
         )
-    return _product_report(a, b, cfg)
+    return _product_report(a, fa, b, fb, cfg)
 
 
 def group_invertible_check(a, cfg=None):
     """Rank stability under squaring, decided three equivalent ways."""
     cfg = resolve(cfg)
     a = require_square(a)
-    a2 = a @ a
-    res_kernel = equality_residual(kernel_basis(a2, cfg), kernel_basis(a, cfg))
-    res_range = equality_residual(range_basis(a2, cfg), range_basis(a, cfg))
-    rank_a = numerical_rank(a, cfg).rank
-    rank_a2 = numerical_rank(a2, cfg).rank
+    fa = factor(a, cfg)
+    unit = _unit(a, fa)
+    fa2 = factor(unit @ unit, cfg)
+    res_kernel = equality_residual(fa2.kernel, fa.kernel)
+    res_range = equality_residual(fa2.range, fa.range)
+    rank_a, rank_a2 = fa.rank, fa2.rank
     tol = cfg.subspace_tol
     return GroupInvertibleReport(
         kernel_stable=res_kernel <= tol,
@@ -169,12 +171,10 @@ def product_range_identity(a, b, cfg=None):
     """
     cfg = resolve(cfg)
     a, b = _pair(a, b)
-    ab = a @ b
-    r_ab = range_basis(ab, cfg)
-    res_hyp = inclusion_residual(r_ab, range_basis(b, cfg))
-    res_conc = equality_residual(
-        r_ab, intersect(range_basis(a, cfg), range_basis(b, cfg), cfg)
-    )
+    r_ab = range_basis(a @ b, cfg)
+    r_b = range_basis(b, cfg)
+    res_hyp = inclusion_residual(r_ab, r_b)
+    res_conc = equality_residual(r_ab, intersect(range_basis(a, cfg), r_b, cfg))
     tol = cfg.subspace_tol
     return RangeIdentityReport(
         hypothesis=res_hyp <= tol,
@@ -187,8 +187,9 @@ def johnson_vinoth_check(a, b, cfg=None):
     """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
     cfg = resolve(cfg)
     a, b = _pair(a, b)
-    res_range = inclusion_residual(range_basis(b, cfg), range_basis(a, cfg))
-    res_kernel = inclusion_residual(kernel_basis(b, cfg), kernel_basis(a, cfg))
+    fa, fb = factor(a, cfg), factor(b, cfg)
+    res_range = inclusion_residual(fb.range, fa.range)
+    res_kernel = inclusion_residual(fb.kernel, fa.kernel)
     ab_hypo = hypo_ep_check(a @ b, cfg)
     tol = cfg.subspace_tol
     return JohnsonVinothReport(

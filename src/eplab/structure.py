@@ -16,14 +16,9 @@ import numpy as np
 
 from .config import resolve
 from .errors import DimensionMismatchError, InapplicableError
-from .kernel import require_square, svd_with_rank
+from .kernel import require_square
 from .predicates import classify
-from .subspaces import (
-    equality_residual,
-    inclusion_residual,
-    intersect,
-    kernel_basis,
-)
+from .subspaces import equality_residual, factor, inclusion_residual, intersect
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +91,9 @@ def decompose_pair(a, b, cfg=None):
     if a.shape != b.shape:
         raise DimensionMismatchError(f"size mismatch: {a.shape} vs {b.shape}")
 
-    _, _, vh, decision = svd_with_rank(a, cfg)
-    r = decision.rank
-    q = vh[:r].conj().T
-    k = vh[r:].conj().T
-    basis_u = np.hstack([q, k])
+    f = factor(a, cfg)
+    basis_u = f.vh.conj().T
+    q, k = basis_u[:, : f.rank], basis_u[:, f.rank :]
 
     a_prime = q.conj().T @ a @ q
     b_prime = q.conj().T @ b @ q
@@ -154,11 +147,12 @@ def block_kernel_inclusions(dec, cfg=None):
     """
     cfg = resolve(cfg)
     a_norm, b_norm = _block_scales(dec)
-    if dec.residuals["commutation"] > cfg.subspace_tol * (1.0 + a_norm * b_norm):
+    # written as "not <=" so that a NaN or inf residual raises, never passes
+    if not dec.residuals["commutation"] <= cfg.subspace_tol * (1.0 + a_norm * b_norm):
         raise InapplicableError(
             f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
         )
-    if dec.residuals["reducing"] > cfg.subspace_tol * (1.0 + a_norm):
+    if not dec.residuals["reducing"] <= cfg.subspace_tol * (1.0 + a_norm):
         raise InapplicableError(
             f"kernel does not reduce the first operand "
             f"(residual {dec.residuals['reducing']:.3e})"
@@ -167,24 +161,19 @@ def block_kernel_inclusions(dec, cfg=None):
     z = _snap_block(dec.block_z, b_norm, cfg)
     y = _snap_block(dec.block_y, b_norm, cfg)
     bp = _snap_block(dec.block_b_prime, b_norm, cfg)
-    n_z = kernel_basis(z, cfg)
-    n_z_star = kernel_basis(z.conj().T, cfg)
-    n_y_star = kernel_basis(y.conj().T, cfg)
-    z_target = intersect(n_z_star, n_y_star, cfg)
-    r_z = inclusion_residual(n_z, z_target)
-
-    n_bp = kernel_basis(bp, cfg)
-    n_y = kernel_basis(y, cfg)
-    n_bp_star = kernel_basis(bp.conj().T, cfg)
-    bp_source = intersect(n_bp, n_y, cfg)
-    r_bp = inclusion_residual(bp_source, n_bp_star)
+    # N(X*) is the cokernel of X's factorization
+    fz, fy, fbp = factor(z, cfg), factor(y, cfg), factor(bp, cfg)
+    z_target = intersect(fz.cokernel, fy.cokernel, cfg)
+    r_z = inclusion_residual(fz.kernel, z_target)
+    bp_source = intersect(fbp.kernel, fy.kernel, cfg)
+    r_bp = inclusion_residual(bp_source, fbp.cokernel)
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
     b_full = dec.b_compressed()
     if b_full.size == 0 or classify(b_full, cfg).coposinormal:
-        z_equal_res = equality_residual(n_z, z_target)
+        z_equal_res = equality_residual(fz.kernel, z_target)
         z_equal = z_equal_res <= cfg.subspace_tol
-        bp_equal_res = equality_residual(bp_source, n_bp_star)
+        bp_equal_res = equality_residual(bp_source, fbp.cokernel)
         bp_equal = bp_equal_res <= cfg.subspace_tol
 
     return InclusionReport(

@@ -1,20 +1,23 @@
 """Subspace algebra of C^n: ranges, kernels, lattice operations, angles.
 
-Subspaces are carried as matrices with orthonormal columns.  Inclusion and
-equality tests use one-sided projector residuals (the sine of the largest
-principal angle), never dimension comparison, so they stay meaningful when
-two spaces share a dimension but differ.
+Subspaces are carried as matrices with orthonormal columns.  A matrix's
+range, corange, kernel, cokernel and pseudoinverse all come from one
+:class:`Factorization`, its full SVD under the shared rank decision.
+Inclusion and equality tests use one-sided projector residuals (the sine of
+the largest principal angle), never dimension comparison, so they stay
+meaningful when two spaces share a dimension but differ.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .config import resolve
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
-from .kernel import as_matrix, require_square, svd_with_rank
+from .kernel import RankDecision, as_matrix, decide_rank, require_square
 
 _ORTHONORMALITY_TOL = 1e-8
 
@@ -54,6 +57,54 @@ class Subspace:
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
 
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """Full SVD ``m = u diag(s) vh`` together with its rank decision.
+
+    The first ``rank`` columns of ``u`` span the range R(m), the rest the
+    cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
+    R(m*), the rest the kernel N(m).  Each view is built on first use.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    decision: RankDecision
+
+    @property
+    def rank(self):
+        return self.decision.rank
+
+    @cached_property
+    def range(self):
+        return Subspace(self.u.shape[0], self.u[:, : self.rank])
+
+    @cached_property
+    def cokernel(self):
+        return Subspace(self.u.shape[0], self.u[:, self.rank :])
+
+    @cached_property
+    def corange(self):
+        return Subspace(self.vh.shape[0], self.vh[: self.rank].conj().T)
+
+    @cached_property
+    def kernel(self):
+        return Subspace(self.vh.shape[0], self.vh[self.rank :].conj().T)
+
+    @cached_property
+    def pinv(self):
+        r = self.rank
+        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+
+
+def factor(m, cfg=None):
+    """The :class:`Factorization` of ``m``: the one full SVD every range,
+    kernel and pseudoinverse of ``m`` is read from."""
+    m = as_matrix(m)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    return Factorization(u, s, vh, decide_rank(s, m.shape, cfg))
+
+
 @dataclass(frozen=True)
 class BouldinComponents:
     """Dimensions entering the deflated-kernel angle computation."""
@@ -84,16 +135,21 @@ def projector(s, cfg=None):
 
 def range_basis(m, cfg=None):
     """Orthonormal basis of the column space; dimension = numerical rank."""
-    m = as_matrix(m)
-    u, _, _, decision = svd_with_rank(m, cfg)
-    return Subspace(m.shape[0], u[:, : decision.rank])
+    return factor(m, cfg).range
 
 
 def kernel_basis(m, cfg=None):
     """Orthonormal basis of the null space; dimension = cols - rank."""
-    m = as_matrix(m)
-    _, _, vh, decision = svd_with_rank(m, cfg)
-    return Subspace(m.shape[1], vh[decision.rank :].conj().T)
+    return factor(m, cfg).kernel
+
+
+def pinv(m, cfg=None):
+    """Moore-Penrose pseudoinverse with the shared rank cutoff.
+
+    Singular values at or below the rank threshold are zeroed, so the
+    pseudoinverse of the zero matrix is the zero matrix of transposed shape.
+    """
+    return factor(m, cfg).pinv
 
 
 def _check_same_ambient(s1, s2):

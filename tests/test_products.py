@@ -200,3 +200,29 @@ class TestReverseOrder:
         assert ab_flag == ba_flag
         report = classify(a @ b)
         assert report.ep and report.coposinormal
+
+
+class TestScaleSafety:
+    """The procedures are homogeneous: scaling the inputs across the double
+    range must not change a flag (products of the raw inputs would overflow
+    at 1e170 and underflow at 1e-170)."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_hartwig_katz(self, scale):
+        x, y = random_same_kernel_pair(6, 3, 11)
+        expected = hartwig_katz(x, y)
+        report = hartwig_katz(scale * x, scale * y)
+        for flag in ("cond_i", "cond_ii", "ab_ep", "a_ep", "b_ep",
+                     "range_identity", "kernel_identity"):
+            assert getattr(report, flag) == getattr(expected, flag), flag
+        assert expected.range_identity and expected.kernel_identity
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_group_invertible(self, scale):
+        a = random_ep(6, 3, 12)
+        expected = group_invertible_check(a)
+        report = group_invertible_check(scale * a)
+        assert (report.kernel_stable, report.range_stable, report.rank_stable) == (
+            expected.kernel_stable, expected.range_stable, expected.rank_stable,
+        ) == (True, True, True)
+        assert report.residuals["rank_squared"] == 3.0

@@ -11,6 +11,7 @@ from eplab import (
     posinormal_product_conditions,
     random_commuting_ep_pair,
     random_ep,
+    random_same_kernel_pair,
 )
 
 
@@ -143,3 +144,17 @@ class TestProductConditions:
         assert np.linalg.norm(dec.block_x) <= 1e-8 * scale
         assert np.linalg.norm(dec.block_y) <= 1e-8 * scale
         assert dec.residuals["ya"] <= 1e-8 * scale * (1.0 + np.linalg.norm(a))
+
+
+class TestNonFiniteResiduals:
+    def test_nan_commutation_raises(self):
+        # a non-commuting same-kernel EP pair: at 1e170 the commutator
+        # overflows to inf - inf = nan, which must fail the gate, not pass it
+        a, b = random_same_kernel_pair(6, 3, 0)
+        with pytest.raises(InapplicableError):
+            block_kernel_inclusions(decompose_pair(a, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = decompose_pair(1e170 * a, 1e170 * b)
+            assert np.isnan(dec.residuals["commutation"])
+            with pytest.raises(InapplicableError):
+                block_kernel_inclusions(dec)
