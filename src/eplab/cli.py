@@ -23,7 +23,7 @@ from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
 from .matfile import read_matrix, write_matrix
 from .predicates import FLAG_NAMES, classify
-from .products import djordjevic_check, hartwig_katz, johnson_vinoth_check
+from .products import _require_ep, hartwig_katz, johnson_vinoth_check
 from .structure import (
     block_kernel_inclusions,
     decompose_pair,
@@ -52,7 +52,7 @@ def _jsonable(value):
     return value
 
 
-def _envelope(command, inputs, cfg, result, violations=()):
+def _envelope(command, inputs, cfg, result, violations):
     return {
         "command": command,
         "inputs": _jsonable(inputs),
@@ -65,11 +65,6 @@ def _envelope(command, inputs, cfg, result, violations=()):
         "violations": _jsonable(list(violations)),
         "version": __version__,
     }
-
-
-def _emit(envelope):
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def parse_size_list(text):
@@ -105,11 +100,13 @@ def _classification_result(report):
     }
 
 
+# Each cmd_* returns (inputs, result, violations); main wraps them in the
+# one envelope and exits 1 exactly when there are violations.
+
+
 def cmd_classify(args, cfg):
-    m = read_matrix(args.path)
-    report = classify(m, cfg)
-    _emit(_envelope("classify", {"path": args.path}, cfg, _classification_result(report)))
-    return 0
+    report = classify(read_matrix(args.path), cfg)
+    return {"path": args.path}, _classification_result(report), ()
 
 
 def cmd_product(args, cfg):
@@ -121,15 +118,11 @@ def cmd_product(args, cfg):
         "johnson_vinoth": johnson_vinoth_check(a, b, cfg),
     }
     try:
-        result["djordjevic"] = djordjevic_check(a, b, cfg)
+        # the Djordjevic equivalence is the same report under an EP gate
+        result["djordjevic"] = _require_ep(hk)
     except InapplicableError as exc:
         result["djordjevic"] = {"applicable": False, "reason": str(exc)}
-    _emit(
-        _envelope(
-            "product", {"path_a": args.path_a, "path_b": args.path_b}, cfg, result
-        )
-    )
-    return 0
+    return {"path_a": args.path_a, "path_b": args.path_b}, result, ()
 
 
 def cmd_decompose(args, cfg):
@@ -146,12 +139,7 @@ def cmd_decompose(args, cfg):
         result["kernel_inclusions"] = block_kernel_inclusions(dec, cfg)
     except InapplicableError as exc:
         result["kernel_inclusions"] = {"applicable": False, "reason": str(exc)}
-    _emit(
-        _envelope(
-            "decompose", {"path_a": args.path_a, "path_b": args.path_b}, cfg, result
-        )
-    )
-    return 0
+    return {"path_a": args.path_a, "path_b": args.path_b}, result, ()
 
 
 def cmd_fuzz(args, cfg):
@@ -170,21 +158,13 @@ def cmd_fuzz(args, cfg):
         "violation_count": len(outcome.violations),
         "ok": outcome.ok,
     }
-    _emit(
-        _envelope(
-            "fuzz",
-            {
-                "suite": args.suite,
-                "trials": args.trials,
-                "dims": args.dims,
-                "seed": args.seed,
-            },
-            cfg,
-            result,
-            violations=outcome.violations,
-        )
-    )
-    return 0 if outcome.ok else 1
+    inputs = {
+        "suite": args.suite,
+        "trials": args.trials,
+        "dims": args.dims,
+        "seed": args.seed,
+    }
+    return inputs, result, outcome.violations
 
 
 def _csv_cell(value):
@@ -210,22 +190,12 @@ def cmd_truncate(args, cfg):
         "rows": rows,
         "csv": args.out,
     }
-    _emit(
-        _envelope(
-            "truncate",
-            {"family": args.family, "sizes": args.dims, "out": args.out},
-            cfg,
-            result,
-        )
-    )
-    return 0
+    return {"family": args.family, "sizes": args.dims, "out": args.out}, result, ()
 
 
 def cmd_catalog(args, cfg):
     if args.name is None:
-        result = {"names": catalog_names()}
-        _emit(_envelope("catalog", {}, cfg, result))
-        return 0
+        return {}, {"names": catalog_names()}, ()
     pair = catalog(args.name)
     result = {
         "name": pair.name,
@@ -241,8 +211,7 @@ def cmd_catalog(args, cfg):
         write_matrix(path_a, pair.a)
         write_matrix(path_b, pair.b)
         result["files"] = [str(path_a), str(path_b)]
-    _emit(_envelope("catalog", {"name": args.name}, cfg, result))
-    return 0
+    return {"name": args.name}, result, ()
 
 
 def _default_seed():
@@ -313,19 +282,18 @@ def main(argv=None):
             subspace_tol=args.tol_subspace,
             psd_tol=args.tol_psd,
         )
-        return args.handler(args, cfg)
-    except InputError as exc:
-        print(f"eplab: error: {exc}", file=sys.stderr)
-        return 2
+        inputs, result, violations = args.handler(args, cfg)
+        json.dump(
+            _envelope(args.command, inputs, cfg, result, violations), sys.stdout, indent=2
+        )
+        sys.stdout.write("\n")
     except InapplicableError as exc:
         print(f"eplab: inapplicable: {exc}", file=sys.stderr)
         return 2
-    except EplabError as exc:
+    except (EplabError, OSError) as exc:
         print(f"eplab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"eplab: error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if violations else 0
 
 
 def main_entry():

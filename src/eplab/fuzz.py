@@ -5,7 +5,7 @@ conclusion; any failure is recorded as a :class:`Violation` carrying the
 per-trial seed and the residuals needed to replay and triage it.  Trial
 seeds are derived as ``SeedSequence((master_seed, trial_index))``, so runs
 are reproducible and independent of how trials are scheduled; parallel runs
-merge by trial index and are result-identical to sequential ones.
+collect results in trial order and are result-identical to sequential ones.
 
 Invertible cores drawn inside the suites are condition-capped more tightly
 than the generator defaults (products multiply condition numbers; the
@@ -299,13 +299,11 @@ def run_trial(suite, master_seed, trial, dims, cfg=None):
 
 
 def _worker(args):
-    suite, master_seed, trial, dims, cfg = args
-    violations, checks = run_trial(suite, master_seed, trial, dims, cfg)
-    return trial, violations, checks
+    return run_trial(*args)
 
 
 def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=None):
-    """Run ``trials`` seeded trials; violations are merged by trial index."""
+    """Run ``trials`` seeded trials; violations are listed in trial order."""
     cfg = resolve(cfg)
     if suite not in SUITES:
         raise InputError(
@@ -320,18 +318,17 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=None):
         raise InputError("jobs must be >= 1")
 
     tasks = [(suite, int(seed), t, dims, cfg) for t in range(trials)]
-    results = []
     if jobs == 1 or trials <= 1:
         results = [_worker(task) for task in tasks]
     else:
         chunksize = max(1, trials // (jobs * 4))
+        # map yields results in task order, whatever order workers finish in
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks, chunksize=chunksize))
-    results.sort(key=lambda item: item[0])
 
     violations = []
     checks = 0
-    for _, trial_violations, trial_checks in results:
+    for trial_violations, trial_checks in results:
         violations.extend(trial_violations)
         checks += trial_checks
     return FuzzOutcome(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import resolve
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -33,6 +33,15 @@ def require_square(m, what="matrix"):
     if m.shape[0] != m.shape[1]:
         raise InputError(f"{what} must be square, got shape {m.shape}")
     return m
+
+
+def require_pair(a, b):
+    """Two square operands of one size, as complex matrices."""
+    a = require_square(a, "first operand")
+    b = require_square(b, "second operand")
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"size mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,33 +77,29 @@ def numerical_rank(m, cfg=None):
     return decide_rank(s, m.shape, cfg)
 
 
-def psd_check(h, cfg=None):
-    """True iff the Hermitian part of ``h`` has no eigenvalue below
-    ``-psd_tol * (1 + ||h||)``.
+def psd_spectrum(h, cfg=None):
+    """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
+    flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
 
     ``h`` must be Hermitian to within ``psd_tol * (1 + ||h||)`` in Frobenius
     norm; anything farther from Hermitian is an input error rather than a
-    silent False.
+    silent False.  The empty matrix gives ``(True, 0.0)``.
     """
     cfg = resolve(cfg)
     h = require_square(h, "psd_check input")
     if h.size == 0:
-        return True
+        return True, 0.0
     scale = float(np.linalg.norm(h))
     defect = float(np.linalg.norm(h - h.conj().T))
     if defect > cfg.psd_tol * (1.0 + scale):
         raise InputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
-    hs = 0.5 * (h + h.conj().T)
-    eigenvalues = np.linalg.eigvalsh(hs)
-    return bool(eigenvalues[0] >= -cfg.psd_tol * (1.0 + scale))
+    smallest = float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
+    return smallest >= -cfg.psd_tol * (1.0 + scale), smallest
 
 
-def min_symmetric_eigenvalue(h):
-    """Smallest eigenvalue of the Hermitian part of ``h`` (0 for empty)."""
-    h = require_square(h)
-    if h.size == 0:
-        return 0.0
-    hs = 0.5 * (h + h.conj().T)
-    return float(np.linalg.eigvalsh(hs)[0])
+def psd_check(h, cfg=None):
+    """True iff ``h`` is positive semidefinite within tolerance
+    (see :func:`psd_spectrum`)."""
+    return psd_spectrum(h, cfg)[0]

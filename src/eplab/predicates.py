@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ToleranceConfig, resolve
-from .kernel import RankDecision, min_symmetric_eigenvalue, psd_check, require_square
+from .kernel import RankDecision, psd_check, psd_spectrum, require_square
 from .subspaces import Subspace, equality_residual, factor, inclusion_residual
 
 # the eight predicate flags of a ClassificationReport, in report order
@@ -38,9 +38,15 @@ class ClassificationReport:
     conflicts: list = field(default_factory=list)
 
 
-def _projector_commutator(m, f):
+def _projector_commutator(f):
     """m_pinv m - m m_pinv, from the factorization ``f`` of ``m``."""
-    return f.pinv @ m - m @ f.pinv
+    return f.pinv @ f.m - f.m @ f.pinv
+
+
+def _hypo_ep(d, cfg):
+    """PSD test of the projector commutator ``d``: ``(flag, smallest
+    eigenvalue)`` of its Hermitian part, which absorbs matmul roundoff."""
+    return psd_spectrum(0.5 * (d + d.conj().T), cfg)
 
 
 def ep_via_projectors(m, cfg=None):
@@ -50,7 +56,7 @@ def ep_via_projectors(m, cfg=None):
     """
     cfg = resolve(cfg)
     m = require_square(m)
-    residual = float(np.linalg.norm(_projector_commutator(m, factor(m, cfg))))
+    residual = float(np.linalg.norm(_projector_commutator(factor(m, cfg))))
     return residual <= cfg.subspace_tol, residual
 
 
@@ -58,9 +64,7 @@ def hypo_ep_check(m, cfg=None):
     """PSD route: m_pinv m - m m_pinv positive semidefinite."""
     cfg = resolve(cfg)
     m = require_square(m)
-    d = _projector_commutator(m, factor(m, cfg))
-    d = 0.5 * (d + d.conj().T)  # absorb matmul roundoff before the eigen test
-    return psd_check(d, cfg)
+    return _hypo_ep(_projector_commutator(factor(m, cfg)), cfg)[0]
 
 
 def classify(m, cfg=None):
@@ -87,7 +91,7 @@ def classify(m, cfg=None):
             residuals=residuals, rank=f.decision, tolerances=cfg,
         )
 
-    mn = m / scale
+    mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     r_commutator = float(np.linalg.norm(commutator))
     normal = r_commutator <= cfg.subspace_tol
@@ -101,12 +105,10 @@ def classify(m, cfg=None):
     quasiposinormal = r_quasi <= cfg.subspace_tol
     ep = posinormal and coposinormal
 
-    d = _projector_commutator(m, f)
+    d = _projector_commutator(f)
     r_proj = float(np.linalg.norm(d))
     ep_proj = r_proj <= cfg.subspace_tol
-    dh = 0.5 * (d + d.conj().T)
-    hypo_ep = psd_check(dh, cfg)
-    min_eig = min_symmetric_eigenvalue(dh)
+    hypo_ep, min_eig = _hypo_ep(d, cfg)
 
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
     ker_t = Subspace(m.shape[0], f.cokernel.basis.conj())

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import resolve
-from .errors import DimensionMismatchError, InapplicableError, InputError
-from .kernel import require_square
-from .predicates import _ep, classify, hypo_ep_check
+from .errors import InapplicableError, InputError
+from .kernel import require_pair, require_square
+from .predicates import _ep, _hypo_ep, _projector_commutator
 from .subspaces import (
     equality_residual,
     factor,
@@ -68,23 +68,16 @@ class JohnsonVinothReport:
     residuals: dict
 
 
-def _pair(a, b):
-    a = require_square(a, "first operand")
-    b = require_square(b, "second operand")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"size mismatch: {a.shape} vs {b.shape}")
-    return a, b
+def _factored_pair(a, b, cfg):
+    """Factorizations of A, B and of the product of their unit-scaled forms:
+    AB up to a positive scalar, so every range, kernel and EP fact of AB."""
+    a, b = require_pair(a, b)
+    fa, fb = factor(a, cfg), factor(b, cfg)
+    return fa, fb, factor(fa.unit @ fb.unit, cfg)
 
 
-def _unit(m, f):
-    """``m`` divided by its largest singular value (a zero matrix as is), so
-    that forming products or powers neither overflows nor underflows."""
-    return m / f.s[0] if f.s.size and f.s[0] else m
-
-
-def _product_report(a, fa, b, fb, cfg):
-    """Product facts for (a, b), given their factorizations fa and fb."""
-    fab = factor(_unit(a, fa) @ _unit(b, fb), cfg)
+def _product_report(fa, fb, fab, cfg):
+    """Product facts for (a, b), given the factorizations of a, b and ab."""
     res_i = inclusion_residual(fab.range, fb.range)
     res_ii = inclusion_residual(fa.kernel, fab.kernel)
     a_ep, res_a = _ep(fa, cfg)
@@ -117,8 +110,17 @@ def _product_report(a, fa, b, fb, cfg):
 def hartwig_katz(a, b, cfg=None):
     """All range/kernel product facts, with no hypothesis enforcement."""
     cfg = resolve(cfg)
-    a, b = _pair(a, b)
-    return _product_report(a, factor(a, cfg), b, factor(b, cfg), cfg)
+    return _product_report(*_factored_pair(a, b, cfg), cfg)
+
+
+def _require_ep(report):
+    """``report`` itself when both operands are EP; raises otherwise."""
+    if not (report.a_ep and report.b_ep):
+        raise InapplicableError(
+            f"both operands must be EP (residuals {report.residuals['a_ep']:.3e}, "
+            f"{report.residuals['b_ep']:.3e})"
+        )
+    return report
 
 
 def djordjevic_check(a, b, cfg=None):
@@ -127,16 +129,7 @@ def djordjevic_check(a, b, cfg=None):
     For EP operands, the product is EP exactly when both the range
     intersection identity and the kernel sum identity hold.
     """
-    cfg = resolve(cfg)
-    a, b = _pair(a, b)
-    fa, fb = factor(a, cfg), factor(b, cfg)
-    a_ep, res_a = _ep(fa, cfg)
-    b_ep, res_b = _ep(fb, cfg)
-    if not (a_ep and b_ep):
-        raise InapplicableError(
-            f"both operands must be EP (residuals {res_a:.3e}, {res_b:.3e})"
-        )
-    return _product_report(a, fa, b, fb, cfg)
+    return _require_ep(hartwig_katz(a, b, cfg))
 
 
 def group_invertible_check(a, cfg=None):
@@ -144,8 +137,7 @@ def group_invertible_check(a, cfg=None):
     cfg = resolve(cfg)
     a = require_square(a)
     fa = factor(a, cfg)
-    unit = _unit(a, fa)
-    fa2 = factor(unit @ unit, cfg)
+    fa2 = factor(fa.unit @ fa.unit, cfg)
     res_kernel = equality_residual(fa2.kernel, fa.kernel)
     res_range = equality_residual(fa2.range, fa.range)
     rank_a, rank_a2 = fa.rank, fa2.rank
@@ -170,11 +162,11 @@ def product_range_identity(a, b, cfg=None):
     the entailment under kernel stability of ``a``.
     """
     cfg = resolve(cfg)
-    a, b = _pair(a, b)
-    r_ab = range_basis(a @ b, cfg)
-    r_b = range_basis(b, cfg)
-    res_hyp = inclusion_residual(r_ab, r_b)
-    res_conc = equality_residual(r_ab, intersect(range_basis(a, cfg), r_b, cfg))
+    a, b = require_pair(a, b)
+    fa, fb = factor(a, cfg), factor(b, cfg)
+    r_ab = range_basis(fa.unit @ fb.unit, cfg)
+    res_hyp = inclusion_residual(r_ab, fb.range)
+    res_conc = equality_residual(r_ab, intersect(fa.range, fb.range, cfg))
     tol = cfg.subspace_tol
     return RangeIdentityReport(
         hypothesis=res_hyp <= tol,
@@ -186,29 +178,28 @@ def product_range_identity(a, b, cfg=None):
 def johnson_vinoth_check(a, b, cfg=None):
     """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
     cfg = resolve(cfg)
-    a, b = _pair(a, b)
-    fa, fb = factor(a, cfg), factor(b, cfg)
+    fa, fb, fab = _factored_pair(a, b, cfg)
     res_range = inclusion_residual(fb.range, fa.range)
     res_kernel = inclusion_residual(fb.kernel, fa.kernel)
-    ab_hypo = hypo_ep_check(a @ b, cfg)
     tol = cfg.subspace_tol
     return JohnsonVinothReport(
         hyp_range=res_range <= tol,
         hyp_kernel=res_kernel <= tol,
-        ab_hypo_ep=bool(ab_hypo),
+        ab_hypo_ep=_hypo_ep(_projector_commutator(fab), cfg)[0],
         residuals={"hyp_range": res_range, "hyp_kernel": res_kernel},
     )
 
 
 def power_ep(a, n, cfg=None):
-    """EP flags for a, a^2, ..., a^n, classified power by power."""
+    """EP flags for a, a^2, ..., a^n, decided power by power."""
     cfg = resolve(cfg)
     a = require_square(a)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
-    flags = []
-    power = a
-    for _ in range(int(n)):
-        flags.append(bool(classify(power, cfg).ep))
-        power = power @ a
+    f = factor(a, cfg)
+    flags = [_ep(f, cfg)[0]]
+    power = f.unit
+    for _ in range(int(n) - 1):
+        power = power @ f.unit
+        flags.append(_ep(factor(power, cfg), cfg)[0])
     return flags

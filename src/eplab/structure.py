@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .config import resolve
-from .errors import DimensionMismatchError, InapplicableError
-from .kernel import require_square
+from .errors import InapplicableError
+from .kernel import require_pair
 from .predicates import classify
 from .subspaces import equality_residual, factor, inclusion_residual, intersect
 
@@ -86,11 +86,7 @@ class PosinormalProductConditions:
 
 
 def decompose_pair(a, b, cfg=None):
-    a = require_square(a, "first operand")
-    b = require_square(b, "second operand")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"size mismatch: {a.shape} vs {b.shape}")
-
+    a, b = require_pair(a, b)
     f = factor(a, cfg)
     basis_u = f.vh.conj().T
     q, k = basis_u[:, : f.rank], basis_u[:, f.rank :]

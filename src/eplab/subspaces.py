@@ -59,13 +59,15 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """Full SVD ``m = u diag(s) vh`` together with its rank decision.
+    """The matrix ``m``, its full SVD ``m = u diag(s) vh`` and its rank
+    decision.
 
     The first ``rank`` columns of ``u`` span the range R(m), the rest the
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
     R(m*), the rest the kernel N(m).  Each view is built on first use.
     """
 
+    m: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
@@ -92,6 +94,12 @@ class Factorization:
         return Subspace(self.vh.shape[0], self.vh[self.rank :].conj().T)
 
     @cached_property
+    def unit(self):
+        """``m`` divided by its largest singular value (a zero matrix as is),
+        so that products and powers of it neither overflow nor underflow."""
+        return self.m / self.s[0] if self.s.size and self.s[0] else self.m
+
+    @cached_property
     def pinv(self):
         r = self.rank
         return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
@@ -102,7 +110,7 @@ def factor(m, cfg=None):
     kernel and pseudoinverse of ``m`` is read from."""
     m = as_matrix(m)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return Factorization(u, s, vh, decide_rank(s, m.shape, cfg))
+    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg))
 
 
 @dataclass(frozen=True)

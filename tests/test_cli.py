@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eplab import write_matrix
+from eplab import catalog, write_matrix
 from eplab.cli import main, parse_size_list
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -104,6 +104,23 @@ class TestProductCommand:
             hk[k]
             for k in ("cond_i", "cond_ii", "ab_ep", "a_ep", "b_ep", "range_identity")
         )
+
+    @pytest.mark.parametrize("name", ["shear_projection_pair", "jordan2"])
+    def test_djordjevic_is_the_gated_hartwig_katz_report(self, name, tmp_path, capsys):
+        pair = catalog(name)
+        pa, pb = tmp_path / "a.cmat", tmp_path / "b.cmat"
+        write_matrix(pa, pair.a)
+        write_matrix(pb, pair.b)
+        code, doc, _ = run_json(capsys, "product", str(pa), str(pb))
+        assert code == 0
+        result = doc["result"]
+        if name == "jordan2":
+            assert result["djordjevic"] == {
+                "applicable": False,
+                "reason": "both operands must be EP (residuals 1.000e+00, 1.000e+00)",
+            }
+        else:
+            assert result["djordjevic"] == result["hartwig_katz"]
 
 
 class TestDecomposeCommand:

@@ -14,11 +14,14 @@ from eplab import (
     johnson_vinoth_check,
     pinv,
     posinormal_product_conditions,
+    power_ep,
     product_range_identity,
     random_commuting_ep_pair,
     random_ep,
     random_johnson_vinoth_pair,
+    write_matrix,
 )
+from eplab.cli import main
 from eplab.subspaces import equality_residual, kernel_basis
 
 
@@ -85,6 +88,20 @@ def full_svds(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the matrices given to eigvalsh from now on."""
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return shapes
+
+
 # exact full-SVD counts, one factorization per distinct matrix: classify
 # factors M; a product procedure factors A, B and AB (A and A^2 for the
 # squaring check); intersect and subspace_sum add their own stacked bases;
@@ -118,6 +135,45 @@ def test_full_svd_count(name, full_svds):
     full_svds.clear()
     calls[name]()
     assert len(full_svds) == SVD_COUNTS[name]
+
+
+# exact eigvalsh counts: classify decides hyponormal and hypo-EP with one
+# eigensolve each and skips both for a zero matrix; power_ep reads EP from
+# each power's factorization; here the Z block snaps to zero, so only B'
+# is classified with eigensolves.
+EIGVALSH_COUNTS = {
+    "classify": 2,
+    "power_ep": 0,
+    "posinormal_product_conditions": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGVALSH_COUNTS))
+def test_eigvalsh_count(name, eigvalsh_calls):
+    a, b = random_commuting_ep_pair(6, 4, 2)
+    dec = decompose_pair(a, b)
+    calls = {
+        "classify": lambda: classify(a @ b),
+        "power_ep": lambda: power_ep(a, 5),
+        "posinormal_product_conditions": lambda: posinormal_product_conditions(dec),
+    }
+    eigvalsh_calls.clear()
+    calls[name]()
+    assert len(eigvalsh_calls) == EIGVALSH_COUNTS[name]
+
+
+def test_product_command_factors_a_b_and_ab_once_per_procedure(
+    full_svds, tmp_path, capsys
+):
+    # Hartwig-Katz (6) and Johnson-Vinoth (3); Djordjevic gates the
+    # Hartwig-Katz report instead of factoring again
+    a, b = random_commuting_ep_pair(6, 4, 2)
+    write_matrix(tmp_path / "a.cmat", a)
+    write_matrix(tmp_path / "b.cmat", b)
+    full_svds.clear()
+    assert main(["product", str(tmp_path / "a.cmat"), str(tmp_path / "b.cmat")]) == 0
+    capsys.readouterr()
+    assert len(full_svds) == 9
 
 
 def test_johnson_vinoth_generator_factors_once(full_svds):

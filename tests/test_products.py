@@ -226,3 +226,26 @@ class TestScaleSafety:
             expected.kernel_stable, expected.range_stable, expected.rank_stable,
         ) == (True, True, True)
         assert report.residuals["rank_squared"] == 3.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_johnson_vinoth(self, scale):
+        x, y = random_same_kernel_pair(6, 3, 11)
+        expected = johnson_vinoth_check(x, y)
+        report = johnson_vinoth_check(scale * x, scale * y)
+        assert (report.hyp_range, report.hyp_kernel, report.ab_hypo_ep) == (
+            expected.hyp_range, expected.hyp_kernel, expected.ab_hypo_ep,
+        ) == (True, True, True)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_power_ep(self, scale):
+        x, _ = random_same_kernel_pair(6, 3, 11)
+        assert power_ep(scale * x, 3) == power_ep(x, 3) == [True] * 3
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_product_range_identity(self, scale):
+        x, y = random_same_kernel_pair(6, 3, 11)
+        expected = product_range_identity(x, y)
+        report = product_range_identity(scale * x, scale * y)
+        assert (report.hypothesis, report.conclusion) == (
+            expected.hypothesis, expected.conclusion,
+        ) == (True, True)
