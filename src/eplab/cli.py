@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ToleranceConfig
+from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import EplabError, InapplicableError, InputError
 from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
@@ -56,11 +56,7 @@ def _envelope(command, inputs, cfg, result, violations):
     return {
         "command": command,
         "inputs": _jsonable(inputs),
-        "tolerances": {
-            "rank_multiplier": cfg.rank_multiplier,
-            "subspace_tol": cfg.subspace_tol,
-            "psd_tol": cfg.psd_tol,
-        },
+        "tolerances": asdict(cfg),
         "result": _jsonable(result),
         "violations": _jsonable(list(violations)),
         "version": __version__,
@@ -214,23 +210,16 @@ def cmd_catalog(args, cfg):
     return {"name": args.name}, result, ()
 
 
-def _default_seed():
-    raw = os.environ.get("EPLAB_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="eplab",
         description="Classification, product tests, block decompositions, "
         "truncation sweeps, and theorem fuzzing for complex matrices.",
     )
-    parser.add_argument("--tol-rank-mult", type=float, default=50.0)
-    parser.add_argument("--tol-subspace", type=float, default=1e-8)
-    parser.add_argument("--tol-psd", type=float, default=1e-10)
+    defaults = DEFAULT_TOLERANCES
+    parser.add_argument("--tol-rank-mult", type=float, default=defaults.rank_multiplier)
+    parser.add_argument("--tol-subspace", type=float, default=defaults.subspace_tol)
+    parser.add_argument("--tol-psd", type=float, default=defaults.psd_tol)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one matrix file")
@@ -251,7 +240,8 @@ def build_parser():
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dims", default="2:8")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    # a string default goes through type=int too, so a bad EPLAB_SEED is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get("EPLAB_SEED", "0"))
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_fuzz)
 

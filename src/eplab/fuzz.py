@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
 from .generators import (
     _complex_gaussian,
@@ -219,7 +219,7 @@ def _t_block_kernels(rng, dims, cfg):
         violations.append(("y_zero", {"y_norm": conditions.y_norm}))
     x_norm = float(np.linalg.norm(dec.block_x))
     b_norm = float(np.linalg.norm(dec.b_compressed()))
-    if x_norm > cfg.subspace_tol * (1.0 + b_norm):
+    if not within(x_norm, cfg.subspace_tol * b_norm, "x_norm"):
         violations.append(("x_zero", {"x_norm": x_norm}))
     return violations, 4
 
@@ -250,7 +250,8 @@ def _t_collapse(rng, dims, cfg):
     # classify's projector commutator and hypo-EP flag are exactly what
     # ep_via_projectors and hypo_ep_check compute
     res_proj = report.residuals["projector_commutator"]
-    if report.hypo_ep != (res_proj <= cfg.subspace_tol) and not report.conflicts:
+    ep_proj = within(res_proj, cfg.subspace_tol, "projector_commutator")
+    if report.hypo_ep != ep_proj and not report.conflicts:
         violations.append(("route_agreement", {"projector_residual": res_proj}))
     if report.conflicts:
         violations.append(("classification_conflict", {"conflicts": "; ".join(report.conflicts)}))
@@ -275,17 +276,20 @@ def trial_seed(master_seed, trial):
     return np.random.SeedSequence((int(master_seed), int(trial)))
 
 
-def run_trial(suite, master_seed, trial, dims, cfg=None):
-    """One trial, fully determined by (suite, master_seed, trial, dims)."""
-    cfg = resolve(cfg)
+def _suite(name):
+    """The trial function of suite ``name``."""
     try:
-        fn = SUITES[suite]
+        return SUITES[name]
     except KeyError:
         raise InputError(
-            f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}"
+            f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         ) from None
+
+
+def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):
+    """One trial, fully determined by (suite, master_seed, trial, dims)."""
     rng = np.random.default_rng(trial_seed(master_seed, trial))
-    raw, checks = fn(rng, tuple(dims), cfg)
+    raw, checks = _suite(suite)(rng, tuple(dims), cfg)
     violations = [
         Violation(
             trial=trial,
@@ -302,13 +306,9 @@ def _worker(args):
     return run_trial(*args)
 
 
-def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=None):
+def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     """Run ``trials`` seeded trials; violations are listed in trial order."""
-    cfg = resolve(cfg)
-    if suite not in SUITES:
-        raise InputError(
-            f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}"
-        )
+    _suite(suite)
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise InputError("dims must contain positive sizes")

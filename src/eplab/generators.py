@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, resolve
+from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
 from .kernel import numerical_rank, require_square
-from .predicates import _ep, classify
+from .predicates import _ep_residual, classify
 from .subspaces import (
     Subspace,
     bouldin_angle,
@@ -179,8 +179,8 @@ def random_johnson_vinoth_pair(a, seed=None, cond_cap=1e4):
     """
     a = require_square(a)
     f = factor(a)
-    ep, residual = _ep(f, DEFAULT_TOLERANCES)
-    if not ep:
+    residual = _ep_residual(f)
+    if not within(residual, DEFAULT_TOLERANCES.subspace_tol, "ep residual"):
         raise InapplicableError(f"input must be EP (residual {residual:.3e})")
     rng = _rng(seed)
     r = f.rank
@@ -211,10 +211,9 @@ def _random_invariant_subspace(a, rng):
     return range_basis(np.hstack(columns))
 
 
-def random_invariant_range_b(a, seed=None, cfg=None):
+def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
     """Random B whose range is an A-invariant subspace, so R(AB) ⊆ R(B)."""
     a = require_square(a)
-    cfg = resolve(cfg)
     n = a.shape[0]
     if n == 0:
         return a.copy()
@@ -416,7 +415,7 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
     )
 
 
-def sweep(family, sizes, cfg=None):
+def sweep(family, sizes, cfg=DEFAULT_TOLERANCES):
     """Per-size metrics for one truncation family.
 
     Reported per size: cosine of the minimal angle between kernel(a) and
@@ -424,7 +423,6 @@ def sweep(family, sizes, cfg=None):
     above-threshold singular value of the product, and the product's EP
     flag.  Monotonicity assertions are left to callers.
     """
-    cfg = resolve(cfg)
     if family not in TRUNCATION_FAMILIES:
         raise InputError(
             f"unknown family {family!r}; known: {', '.join(TRUNCATION_FAMILIES)}"

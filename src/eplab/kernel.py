@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, within
 from .errors import DimensionMismatchError, InputError
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -53,23 +53,22 @@ class RankDecision:
     threshold: float
 
 
-def rank_threshold(singular_values, shape, cfg=None):
+def rank_threshold(singular_values, shape, cfg=DEFAULT_TOLERANCES):
     """Cutoff below which singular values are treated as zero."""
-    cfg = resolve(cfg)
     if len(singular_values) == 0:
         return 0.0
     sigma_max = float(singular_values[0])
     return cfg.rank_multiplier * _EPS * max(shape) * sigma_max
 
 
-def decide_rank(singular_values, shape, cfg=None):
+def decide_rank(singular_values, shape, cfg=DEFAULT_TOLERANCES):
     s = np.asarray(singular_values, dtype=np.float64)
     tol = rank_threshold(s, shape, cfg)
     rank = int(np.count_nonzero(s > tol))
     return RankDecision(rank=rank, singular_values=s, threshold=tol)
 
 
-def numerical_rank(m, cfg=None):
+def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
     """Rank decision for ``m`` under the shared threshold policy, from its
     singular values alone (no singular vectors)."""
     m = as_matrix(m)
@@ -77,7 +76,7 @@ def numerical_rank(m, cfg=None):
     return decide_rank(s, m.shape, cfg)
 
 
-def psd_spectrum(h, cfg=None):
+def psd_spectrum(h, cfg=DEFAULT_TOLERANCES):
     """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
     flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
 
@@ -85,21 +84,20 @@ def psd_spectrum(h, cfg=None):
     norm; anything farther from Hermitian is an input error rather than a
     silent False.  The empty matrix gives ``(True, 0.0)``.
     """
-    cfg = resolve(cfg)
     h = require_square(h, "psd_check input")
     if h.size == 0:
         return True, 0.0
-    scale = float(np.linalg.norm(h))
+    bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(h)))
     defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > cfg.psd_tol * (1.0 + scale):
+    if not within(defect, bound, "Hermitian defect"):
         raise InputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
     smallest = float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
-    return smallest >= -cfg.psd_tol * (1.0 + scale), smallest
+    return within(-smallest, bound, "smallest eigenvalue"), smallest
 
 
-def psd_check(h, cfg=None):
+def psd_check(h, cfg=DEFAULT_TOLERANCES):
     """True iff ``h`` is positive semidefinite within tolerance
     (see :func:`psd_spectrum`)."""
     return psd_spectrum(h, cfg)[0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ToleranceConfig, resolve
+from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
 from .subspaces import Subspace, equality_residual, factor, inclusion_residual
 
@@ -49,27 +49,24 @@ def _hypo_ep(d, cfg):
     return psd_spectrum(0.5 * (d + d.conj().T), cfg)
 
 
-def ep_via_projectors(m, cfg=None):
+def ep_via_projectors(m, cfg=DEFAULT_TOLERANCES):
     """Projector route for the EP test: does m commute with its pseudoinverse?
 
     Returns ``(flag, residual)`` with residual = ||m_pinv m - m m_pinv||.
     """
-    cfg = resolve(cfg)
     m = require_square(m)
     residual = float(np.linalg.norm(_projector_commutator(factor(m, cfg))))
-    return residual <= cfg.subspace_tol, residual
+    return within(residual, cfg.subspace_tol, "projector_commutator"), residual
 
 
-def hypo_ep_check(m, cfg=None):
+def hypo_ep_check(m, cfg=DEFAULT_TOLERANCES):
     """PSD route: m_pinv m - m m_pinv positive semidefinite."""
-    cfg = resolve(cfg)
     m = require_square(m)
     return _hypo_ep(_projector_commutator(factor(m, cfg)), cfg)[0]
 
 
-def classify(m, cfg=None):
+def classify(m, cfg=DEFAULT_TOLERANCES):
     """Full predicate battery for one square matrix."""
-    cfg = resolve(cfg)
     m = require_square(m)
 
     f = factor(m, cfg)
@@ -93,33 +90,34 @@ def classify(m, cfg=None):
 
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
-    r_commutator = float(np.linalg.norm(commutator))
-    normal = r_commutator <= cfg.subspace_tol
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
-
     r_pos = inclusion_residual(f.range, f.corange)
     r_copos = inclusion_residual(f.corange, f.range)
-    r_quasi = inclusion_residual(f.kernel, f.cokernel)
-    posinormal = r_pos <= cfg.subspace_tol
-    coposinormal = r_copos <= cfg.subspace_tol
-    quasiposinormal = r_quasi <= cfg.subspace_tol
-    ep = posinormal and coposinormal
-
     d = _projector_commutator(f)
-    r_proj = float(np.linalg.norm(d))
-    ep_proj = r_proj <= cfg.subspace_tol
     hypo_ep, min_eig = _hypo_ep(d, cfg)
-
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
     ker_t = Subspace(m.shape[0], f.cokernel.basis.conj())
-    r_ep_r = equality_residual(f.kernel, ker_t)
-    ep_r = r_ep_r <= cfg.subspace_tol
+
+    residuals = {
+        "commutator": float(np.linalg.norm(commutator)),
+        "posinormal_inclusion": r_pos,
+        "coposinormal_inclusion": r_copos,
+        "quasiposinormal_inclusion": inclusion_residual(f.kernel, f.cokernel),
+        "ep_equality": max(r_pos, r_copos),
+        "projector_commutator": float(np.linalg.norm(d)),
+        "ep_r_equality": equality_residual(f.kernel, ker_t),
+    }
+    gate = within_each(residuals, cfg.subspace_tol)
+    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol in _hypo_ep
+    posinormal, ep = gate["posinormal_inclusion"], gate["ep_equality"]
+    ep_proj = gate["projector_commutator"]
 
     conflicts = []
     if ep != ep_proj:
         conflicts.append(
             f"ep: subspace route {ep} vs projector route {ep_proj} "
-            f"(residuals {max(r_pos, r_copos):.3e} / {r_proj:.3e})"
+            f"(residuals {residuals['ep_equality']:.3e} / "
+            f"{residuals['projector_commutator']:.3e})"
         )
     if posinormal != hypo_ep:
         conflicts.append(
@@ -127,25 +125,15 @@ def classify(m, cfg=None):
             f"(inclusion {r_pos:.3e}, min eigenvalue {min_eig:.3e})"
         )
 
-    residuals = {
-        "commutator": r_commutator,
-        "posinormal_inclusion": r_pos,
-        "coposinormal_inclusion": r_copos,
-        "quasiposinormal_inclusion": r_quasi,
-        "ep_equality": max(r_pos, r_copos),
-        "projector_commutator": r_proj,
-        "ep_r_equality": r_ep_r,
-        "hypo_ep_min_eigenvalue": min_eig,
-    }
     return ClassificationReport(
-        normal=normal,
+        normal=gate["commutator"],
         hyponormal=hyponormal,
-        quasiposinormal=quasiposinormal,
+        quasiposinormal=gate["quasiposinormal_inclusion"],
         posinormal=posinormal,
-        coposinormal=coposinormal,
+        coposinormal=gate["coposinormal_inclusion"],
         ep=ep,
         hypo_ep=hypo_ep,
-        ep_r=ep_r,
+        ep_r=gate["ep_r_equality"],
         residuals=residuals,
         rank=f.decision,
         tolerances=cfg,
@@ -153,17 +141,16 @@ def classify(m, cfg=None):
     )
 
 
-def _ep(f, cfg):
-    """EP test on a factorization: R(m) equals R(m*)."""
-    residual = equality_residual(f.range, f.corange)
-    return residual <= cfg.subspace_tol, residual
+def _ep_residual(f):
+    """EP residual of a factorization: R(m) against R(m*)."""
+    return equality_residual(f.range, f.corange)
 
 
-def is_ep(m, cfg=None):
+def is_ep(m, cfg=DEFAULT_TOLERANCES):
     """Fast EP test from a single SVD: R(m) equals R(m*).
 
     Returns ``(flag, residual)``; used by the product procedures where the
     full report would be wasteful.
     """
-    cfg = resolve(cfg)
-    return _ep(factor(require_square(m), cfg), cfg)
+    residual = _ep_residual(factor(require_square(m), cfg))
+    return within(residual, cfg.subspace_tol, "ep residual"), residual

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
 from .kernel import require_pair, require_square
-from .predicates import _ep, _hypo_ep, _projector_commutator
+from .predicates import _ep_residual, _hypo_ep, _projector_commutator
 from .subspaces import (
     equality_residual,
     factor,
@@ -78,38 +78,26 @@ def _factored_pair(a, b, cfg):
 
 def _product_report(fa, fb, fab, cfg):
     """Product facts for (a, b), given the factorizations of a, b and ab."""
-    res_i = inclusion_residual(fab.range, fb.range)
-    res_ii = inclusion_residual(fa.kernel, fab.kernel)
-    a_ep, res_a = _ep(fa, cfg)
-    b_ep, res_b = _ep(fb, cfg)
-    ab_ep, res_ab = _ep(fab, cfg)
-    res_range = equality_residual(fab.range, intersect(fa.range, fb.range, cfg))
-    res_kernel = equality_residual(fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg))
-
-    tol = cfg.subspace_tol
+    residuals = {
+        "cond_i": inclusion_residual(fab.range, fb.range),
+        "cond_ii": inclusion_residual(fa.kernel, fab.kernel),
+        "a_ep": _ep_residual(fa),
+        "b_ep": _ep_residual(fb),
+        "ab_ep": _ep_residual(fab),
+        "range_identity": equality_residual(
+            fab.range, intersect(fa.range, fb.range, cfg)
+        ),
+        "kernel_identity": equality_residual(
+            fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
+        ),
+    }
     return ProductReport(
-        cond_i=res_i <= tol,
-        cond_ii=res_ii <= tol,
-        ab_ep=ab_ep,
-        a_ep=a_ep,
-        b_ep=b_ep,
-        range_identity=res_range <= tol,
-        kernel_identity=res_kernel <= tol,
-        residuals={
-            "cond_i": res_i,
-            "cond_ii": res_ii,
-            "a_ep": res_a,
-            "b_ep": res_b,
-            "ab_ep": res_ab,
-            "range_identity": res_range,
-            "kernel_identity": res_kernel,
-        },
+        **within_each(residuals, cfg.subspace_tol), residuals=residuals
     )
 
 
-def hartwig_katz(a, b, cfg=None):
+def hartwig_katz(a, b, cfg=DEFAULT_TOLERANCES):
     """All range/kernel product facts, with no hypothesis enforcement."""
-    cfg = resolve(cfg)
     return _product_report(*_factored_pair(a, b, cfg), cfg)
 
 
@@ -123,7 +111,7 @@ def _require_ep(report):
     return report
 
 
-def djordjevic_check(a, b, cfg=None):
+def djordjevic_check(a, b, cfg=DEFAULT_TOLERANCES):
     """Product facts for a pair that must be EP; raises otherwise.
 
     For EP operands, the product is EP exactly when both the range
@@ -132,74 +120,65 @@ def djordjevic_check(a, b, cfg=None):
     return _require_ep(hartwig_katz(a, b, cfg))
 
 
-def group_invertible_check(a, cfg=None):
+def group_invertible_check(a, cfg=DEFAULT_TOLERANCES):
     """Rank stability under squaring, decided three equivalent ways."""
-    cfg = resolve(cfg)
     a = require_square(a)
     fa = factor(a, cfg)
     fa2 = factor(fa.unit @ fa.unit, cfg)
-    res_kernel = equality_residual(fa2.kernel, fa.kernel)
-    res_range = equality_residual(fa2.range, fa.range)
-    rank_a, rank_a2 = fa.rank, fa2.rank
-    tol = cfg.subspace_tol
+    residuals = {
+        "kernel_stable": equality_residual(fa2.kernel, fa.kernel),
+        "range_stable": equality_residual(fa2.range, fa.range),
+    }
     return GroupInvertibleReport(
-        kernel_stable=res_kernel <= tol,
-        range_stable=res_range <= tol,
-        rank_stable=rank_a2 == rank_a,
+        **within_each(residuals, cfg.subspace_tol),
+        rank_stable=fa2.rank == fa.rank,
         residuals={
-            "kernel_stable": res_kernel,
-            "range_stable": res_range,
-            "rank": float(rank_a),
-            "rank_squared": float(rank_a2),
+            **residuals, "rank": float(fa.rank), "rank_squared": float(fa2.rank)
         },
     )
 
 
-def product_range_identity(a, b, cfg=None):
+def product_range_identity(a, b, cfg=DEFAULT_TOLERANCES):
     """Does R(AB) ⊆ R(B) entail R(AB) = R(A) ∩ R(B) for this pair?
 
     Both sides are reported; combine with group_invertible_check(a) to test
     the entailment under kernel stability of ``a``.
     """
-    cfg = resolve(cfg)
     a, b = require_pair(a, b)
     fa, fb = factor(a, cfg), factor(b, cfg)
     r_ab = range_basis(fa.unit @ fb.unit, cfg)
-    res_hyp = inclusion_residual(r_ab, fb.range)
-    res_conc = equality_residual(r_ab, intersect(fa.range, fb.range, cfg))
-    tol = cfg.subspace_tol
+    residuals = {
+        "hypothesis": inclusion_residual(r_ab, fb.range),
+        "conclusion": equality_residual(r_ab, intersect(fa.range, fb.range, cfg)),
+    }
     return RangeIdentityReport(
-        hypothesis=res_hyp <= tol,
-        conclusion=res_conc <= tol,
-        residuals={"hypothesis": res_hyp, "conclusion": res_conc},
+        **within_each(residuals, cfg.subspace_tol), residuals=residuals
     )
 
 
-def johnson_vinoth_check(a, b, cfg=None):
+def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
     """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
-    cfg = resolve(cfg)
     fa, fb, fab = _factored_pair(a, b, cfg)
-    res_range = inclusion_residual(fb.range, fa.range)
-    res_kernel = inclusion_residual(fb.kernel, fa.kernel)
-    tol = cfg.subspace_tol
+    residuals = {
+        "hyp_range": inclusion_residual(fb.range, fa.range),
+        "hyp_kernel": inclusion_residual(fb.kernel, fa.kernel),
+    }
     return JohnsonVinothReport(
-        hyp_range=res_range <= tol,
-        hyp_kernel=res_kernel <= tol,
+        **within_each(residuals, cfg.subspace_tol),
         ab_hypo_ep=_hypo_ep(_projector_commutator(fab), cfg)[0],
-        residuals={"hyp_range": res_range, "hyp_kernel": res_kernel},
+        residuals=residuals,
     )
 
 
-def power_ep(a, n, cfg=None):
+def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     """EP flags for a, a^2, ..., a^n, decided power by power."""
-    cfg = resolve(cfg)
     a = require_square(a)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
     f = factor(a, cfg)
-    flags = [_ep(f, cfg)[0]]
+    residuals = [_ep_residual(f)]
     power = f.unit
     for _ in range(int(n) - 1):
         power = power @ f.unit
-        flags.append(_ep(factor(power, cfg), cfg)[0])
-    return flags
+        residuals.append(_ep_residual(factor(power, cfg)))
+    return [within(r, cfg.subspace_tol, "ep residual") for r in residuals]

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError
 from .kernel import require_pair
 from .predicates import classify
@@ -85,7 +85,7 @@ class PosinormalProductConditions:
     y_norm: float
 
 
-def decompose_pair(a, b, cfg=None):
+def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
     a, b = require_pair(a, b)
     f = factor(a, cfg)
     basis_u = f.vh.conj().T
@@ -130,25 +130,26 @@ def _snap_block(block, scale, cfg):
     Rank decisions inside a block are scaled by the block's own largest
     singular value, so a pure-roundoff block would otherwise masquerade as
     full rank and poison kernel computations."""
-    if block.size and np.linalg.norm(block) <= cfg.subspace_tol * (1.0 + scale):
+    norm = float(np.linalg.norm(block))
+    if block.size and within(norm, cfg.subspace_tol * scale, "block norm"):
         return np.zeros_like(block)
     return block
 
 
-def block_kernel_inclusions(dec, cfg=None):
+def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
     """Kernel inclusions implied by a commuting quasiposinormal pair.
 
     Raises InapplicableError when the recorded commutation or reducing
-    residual shows the pair was not actually commuting / reducing.
+    residual shows the pair was not actually commuting / reducing, or is
+    not finite.  Both bounds are relative to the operands' norms.
     """
-    cfg = resolve(cfg)
     a_norm, b_norm = _block_scales(dec)
-    # written as "not <=" so that a NaN or inf residual raises, never passes
-    if not dec.residuals["commutation"] <= cfg.subspace_tol * (1.0 + a_norm * b_norm):
+    tol = cfg.subspace_tol
+    if not within(dec.residuals["commutation"], tol * a_norm * b_norm, "commutation"):
         raise InapplicableError(
             f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
         )
-    if not dec.residuals["reducing"] <= cfg.subspace_tol * (1.0 + a_norm):
+    if not within(dec.residuals["reducing"], tol * a_norm, "reducing"):
         raise InapplicableError(
             f"kernel does not reduce the first operand "
             f"(residual {dec.residuals['reducing']:.3e})"
@@ -168,14 +169,14 @@ def block_kernel_inclusions(dec, cfg=None):
     b_full = dec.b_compressed()
     if b_full.size == 0 or classify(b_full, cfg).coposinormal:
         z_equal_res = equality_residual(fz.kernel, z_target)
-        z_equal = z_equal_res <= cfg.subspace_tol
+        z_equal = within(z_equal_res, tol, "kernel_z_equal")
         bp_equal_res = equality_residual(bp_source, fbp.cokernel)
-        bp_equal = bp_equal_res <= cfg.subspace_tol
+        bp_equal = within(bp_equal_res, tol, "kernel_bprime_equal")
 
     return InclusionReport(
-        kernel_z_included=r_z <= cfg.subspace_tol,
+        kernel_z_included=within(r_z, tol, "kernel_z"),
         kernel_z_residual=r_z,
-        kernel_bprime_included=r_bp <= cfg.subspace_tol,
+        kernel_bprime_included=within(r_bp, tol, "kernel_bprime"),
         kernel_bprime_residual=r_bp,
         kernel_z_equal=z_equal,
         kernel_z_equal_residual=z_equal_res,
@@ -184,8 +185,7 @@ def block_kernel_inclusions(dec, cfg=None):
     )
 
 
-def posinormal_product_conditions(dec, cfg=None):
-    cfg = resolve(cfg)
+def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
     _, b_norm = _block_scales(dec)
     bp = _snap_block(dec.block_b_prime, b_norm, cfg)
     z = _snap_block(dec.block_z, b_norm, cfg)
@@ -195,7 +195,7 @@ def posinormal_product_conditions(dec, cfg=None):
     return PosinormalProductConditions(
         b_prime_posinormal=bool(b_prime_posinormal),
         z_coposinormal=bool(z_coposinormal),
-        y_zero=y_norm <= cfg.subspace_tol * (1.0 + b_norm),
+        y_zero=within(y_norm, cfg.subspace_tol * b_norm, "y_norm"),
         y_norm=y_norm,
     )
 

@@ -15,12 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import resolve
+from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import RankDecision, as_matrix, decide_rank, require_square
-
-_ORTHONORMALITY_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
@@ -45,7 +42,8 @@ class Subspace:
             raise InputError(f"basis has more columns ({k}) than ambient rows ({n})")
         if k:
             gram = basis.conj().T @ basis
-            if np.linalg.norm(gram - np.eye(k)) > _ORTHONORMALITY_TOL:
+            defect = float(np.linalg.norm(gram - np.eye(k)))
+            if not within(defect, ORTHONORMALITY_TOL, "Gram defect"):
                 raise InputError("basis columns are not orthonormal")
 
     @property
@@ -105,7 +103,7 @@ class Factorization:
         return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
 
 
-def factor(m, cfg=None):
+def factor(m, cfg=DEFAULT_TOLERANCES):
     """The :class:`Factorization` of ``m``: the one full SVD every range,
     kernel and pseudoinverse of ``m`` is read from."""
     m = as_matrix(m)
@@ -128,30 +126,30 @@ class AngleReport:
     bouldin_components: Optional[BouldinComponents] = None
 
 
-def projector(s, cfg=None):
+def projector(s, cfg=DEFAULT_TOLERANCES):
     """Orthogonal projector onto ``s`` as a dense matrix (Q Q*)."""
-    cfg = resolve(cfg)
     q = s.basis
     k = q.shape[1]
     if k:
         gram = q.conj().T @ q
-        if np.linalg.norm(gram - np.eye(k)) > cfg.subspace_tol:
+        defect = float(np.linalg.norm(gram - np.eye(k)))
+        if not within(defect, cfg.subspace_tol, "Gram defect"):
             raise InputError("subspace basis is not orthonormal within tolerance")
         return q @ q.conj().T
     return np.zeros((s.ambient_dim, s.ambient_dim), dtype=np.complex128)
 
 
-def range_basis(m, cfg=None):
+def range_basis(m, cfg=DEFAULT_TOLERANCES):
     """Orthonormal basis of the column space; dimension = numerical rank."""
     return factor(m, cfg).range
 
 
-def kernel_basis(m, cfg=None):
+def kernel_basis(m, cfg=DEFAULT_TOLERANCES):
     """Orthonormal basis of the null space; dimension = cols - rank."""
     return factor(m, cfg).kernel
 
 
-def pinv(m, cfg=None):
+def pinv(m, cfg=DEFAULT_TOLERANCES):
     """Moore-Penrose pseudoinverse with the shared rank cutoff.
 
     Singular values at or below the rank threshold are zeroed, so the
@@ -179,22 +177,20 @@ def inclusion_residual(s1, s2):
     return float(np.linalg.norm(residual, 2))
 
 
-def includes(s1, s2, cfg=None):
+def includes(s1, s2, cfg=DEFAULT_TOLERANCES):
     """True iff s1 is contained in s2 within ``subspace_tol``."""
-    cfg = resolve(cfg)
-    return inclusion_residual(s1, s2) <= cfg.subspace_tol
+    return within(inclusion_residual(s1, s2), cfg.subspace_tol, "inclusion residual")
 
 
 def equality_residual(s1, s2):
     return max(inclusion_residual(s1, s2), inclusion_residual(s2, s1))
 
 
-def equals(s1, s2, cfg=None):
-    cfg = resolve(cfg)
-    return equality_residual(s1, s2) <= cfg.subspace_tol
+def equals(s1, s2, cfg=DEFAULT_TOLERANCES):
+    return within(equality_residual(s1, s2), cfg.subspace_tol, "equality residual")
 
 
-def intersect(s1, s2, cfg=None):
+def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
     """Intersection, via the null space of the stacked basis [Q1 | -Q2].
 
     A kernel vector (u, v) satisfies Q1 u = Q2 v; mapping it back through Q1
@@ -212,7 +208,7 @@ def intersect(s1, s2, cfg=None):
     return range_basis(mapped, cfg)
 
 
-def subspace_sum(s1, s2, cfg=None):
+def subspace_sum(s1, s2, cfg=DEFAULT_TOLERANCES):
     """Span of the union, by rank-revealing orthonormalization of [Q1 | Q2]."""
     _check_same_ambient(s1, s2)
     stacked = np.hstack([s1.basis, s2.basis])
@@ -221,7 +217,7 @@ def subspace_sum(s1, s2, cfg=None):
     return range_basis(stacked, cfg)
 
 
-def complement_within(inner, outer, cfg=None):
+def complement_within(inner, outer, cfg=DEFAULT_TOLERANCES):
     """Orthogonal complement of ``inner`` inside ``outer`` (inner ⊆ outer)."""
     _check_same_ambient(inner, outer)
     if outer.dim == 0:
@@ -246,7 +242,7 @@ def minimal_angle(s1, s2):
     return AngleReport(cos_min_angle=cos, angle_radians=math.acos(cos))
 
 
-def bouldin_angle(s, t, cfg=None):
+def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     """Angle controlling closedness of the product range of ``s @ t``.
 
     Computes V = N(s) ∩ R(t) and W, the complement of V inside N(s), then

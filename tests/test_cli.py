@@ -245,3 +245,43 @@ class TestEnvelopeShape:
         _, out, _ = run_cli(capsys, "classify", str(path))
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestToleranceOptions:
+    def test_defaults_in_envelope(self, tmp_path, capsys):
+        path = tmp_path / "g.cmat"
+        write_matrix(path, G)
+        code, doc, _ = run_json(capsys, "classify", str(path))
+        assert code == 0
+        assert doc["tolerances"] == {
+            "rank_multiplier": 50.0, "subspace_tol": 1e-8, "psd_tol": 1e-10,
+        }
+
+    @pytest.mark.parametrize("option", ["--tol-rank-mult", "--tol-subspace", "--tol-psd"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, option, value):
+        # an infinite subspace_tol used to pass every gate: the 2x2 Jordan
+        # block came out EP and normal, in an envelope holding "Infinity"
+        path = tmp_path / "jordan.cmat"
+        write_matrix(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        code, out, err = run_cli(capsys, f"{option}={value}", "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
+class TestSeedEnvironment:
+    def test_invalid_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPLAB_SEED", "7x")
+        code, out, err = run_cli(capsys, "fuzz", "powers", "--trials", "2", "--dims", "2:3")
+        assert code == 2
+        assert out == ""
+        assert "7x" in err
+
+    def test_explicit_seed_overrides_invalid_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPLAB_SEED", "7x")
+        code, doc, _ = run_json(
+            capsys, "fuzz", "powers", "--trials", "2", "--dims", "2:3", "--seed", "5"
+        )
+        assert code == 0
+        assert doc["result"]["seed"] == 5

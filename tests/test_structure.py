@@ -158,3 +158,32 @@ class TestNonFiniteResiduals:
             assert np.isnan(dec.residuals["commutation"])
             with pytest.raises(InapplicableError):
                 block_kernel_inclusions(dec)
+
+
+class TestRelativeBounds:
+    # a generic (non-commuting) pair: every decision must be the one taken
+    # at unit scale, since the bounds scale with the operands' norms
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-40, 1e12])
+    def test_generic_pair_decided_alike_at_every_scale(self, scale):
+        a, b = random_ep(6, 3, 1), random_ep(6, 3, 2)
+        dec = decompose_pair(scale * a, scale * b)
+        with pytest.raises(InapplicableError, match="do not commute"):
+            block_kernel_inclusions(dec)
+        assert posinormal_product_conditions(dec).y_zero is False
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-40, 1e12])
+    def test_commuting_pair_decided_alike_at_every_scale(self, scale):
+        a, b = random_commuting_ep_pair(6, 3, 0)
+        dec = decompose_pair(scale * a, scale * b)
+        report = block_kernel_inclusions(dec)
+        assert report.kernel_z_included and report.kernel_bprime_included
+        assert posinormal_product_conditions(dec).y_zero is True
+
+    def test_overflowed_block_norm_raises(self):
+        # at 1e160 the Frobenius norm of Y overflows to inf; inf <= inf
+        # must not read as "Y is zero"
+        a, b = random_ep(6, 3, 1), random_ep(6, 3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = decompose_pair(1e160 * a, 1e160 * b)
+            with pytest.raises(InapplicableError, match="not finite"):
+                posinormal_product_conditions(dec)
