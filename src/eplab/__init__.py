@@ -27,7 +27,6 @@ from .subspaces import (
     Factorization,
     Subspace,
     bouldin_angle,
-    complement_within,
     equality_residual,
     equals,
     factor,
@@ -71,7 +70,6 @@ from .products import (
 )
 from .generators import (
     ExamplePair,
-    TiltedProjectionPair,
     TruncationMetrics,
     TruncationSeries,
     TRUNCATION_FAMILIES,
@@ -89,4 +87,4 @@ from .generators import (
     weighted_shift_truncation,
 )
 from .matfile import format_matrix, parse_matrix, read_matrix, write_matrix
-from .fuzz import SUITES, FuzzOutcome, Violation, run_suite, run_trial
+from .fuzz import SUITES, FuzzOutcome, run_suite, run_trial

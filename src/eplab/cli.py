@@ -23,7 +23,7 @@ from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
 from .matfile import read_matrix, write_matrix
 from .predicates import FLAG_NAMES, classify
-from .products import _require_ep, hartwig_katz, johnson_vinoth_check
+from .products import _factored_pair, _johnson_vinoth, _product_report, _require_ep
 from .structure import (
     block_kernel_inclusions,
     decompose_pair,
@@ -106,13 +106,10 @@ def cmd_classify(args, cfg):
 
 
 def cmd_product(args, cfg):
-    a = read_matrix(args.path_a)
-    b = read_matrix(args.path_b)
-    hk = hartwig_katz(a, b, cfg)
-    result = {
-        "hartwig_katz": hk,
-        "johnson_vinoth": johnson_vinoth_check(a, b, cfg),
-    }
+    # one factorization of A, B and AB serves both reports
+    pair = _factored_pair(read_matrix(args.path_a), read_matrix(args.path_b), cfg)
+    hk = _product_report(*pair, cfg)
+    result = {"hartwig_katz": hk, "johnson_vinoth": _johnson_vinoth(*pair, cfg)}
     try:
         # the Djordjevic equivalence is the same report under an EP gate
         result["djordjevic"] = _require_ep(hk)

@@ -12,7 +12,6 @@ than the generator defaults (products multiply condition numbers; the
 suites are meant to probe theorems, not floating-point cliffs).
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +320,8 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     if jobs == 1 or trials <= 1:
         results = [_worker(task) for task in tasks]
     else:
+        # imported here: multiprocessing is a cost only parallel runs pay
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = max(1, trials // (jobs * 4))
         # map yields results in task order, whatever order workers finish in
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
 from .kernel import numerical_rank, require_square
-from .predicates import _ep_residual, classify
+from .predicates import _ep_residual, is_ep
 from .subspaces import (
     Subspace,
     bouldin_angle,
@@ -400,17 +400,14 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
     ab = a @ b
     n_a = kernel_basis(a, cfg)
     r_b = range_basis(b, cfg)
-    if n_a.dim and r_b.dim:
-        cos = minimal_angle(n_a, r_b).cos_min_angle
-    else:
-        cos = math.nan
+    cos = minimal_angle(n_a, r_b).cos_min_angle if n_a.dim and r_b.dim else math.nan
     bouldin = bouldin_angle(a, b, cfg).cos_min_angle
     return TruncationMetrics(
         size=int(size),
         cos_min_angle=cos,
         bouldin_cos=bouldin,
         sigma_min_plus=_sigma_min_plus(ab, cfg),
-        ab_ep=bool(classify(ab, cfg).ep),
+        ab_ep=is_ep(ab, cfg)[0],
         residuals=extra_residuals,
     )
 

@@ -73,16 +73,12 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     scale = float(f.s[0]) if f.s.size else 0.0
 
     if scale == 0.0:
-        residuals = {
-            "commutator": 0.0,
-            "posinormal_inclusion": 0.0,
-            "coposinormal_inclusion": 0.0,
-            "quasiposinormal_inclusion": 0.0,
-            "ep_equality": 0.0,
-            "projector_commutator": 0.0,
-            "ep_r_equality": 0.0,
-            "hypo_ep_min_eigenvalue": 0.0,
-        }
+        # the zero matrix has every property, and every residual is 0
+        residuals = dict.fromkeys((
+            "commutator", "posinormal_inclusion", "coposinormal_inclusion",
+            "quasiposinormal_inclusion", "ep_equality", "projector_commutator",
+            "ep_r_equality", "hypo_ep_min_eigenvalue",
+        ), 0.0)
         return ClassificationReport(
             **dict.fromkeys(FLAG_NAMES, True),
             residuals=residuals, rank=f.decision, tolerances=cfg,
@@ -91,8 +87,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
-    r_pos = inclusion_residual(f.range, f.corange)
-    r_copos = inclusion_residual(f.corange, f.range)
+    r_pos, r_copos = _posinormal_residual(f), _coposinormal_residual(f)
     d = _projector_commutator(f)
     hypo_ep, min_eig = _hypo_ep(d, cfg)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
@@ -141,6 +136,16 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     )
 
 
+def _posinormal_residual(f):
+    """Posinormal residual of a factorization: R(m) inside R(m*)."""
+    return inclusion_residual(f.range, f.corange)
+
+
+def _coposinormal_residual(f):
+    """Coposinormal residual of a factorization: R(m*) inside R(m)."""
+    return inclusion_residual(f.corange, f.range)
+
+
 def _ep_residual(f):
     """EP residual of a factorization: R(m) against R(m*)."""
     return equality_residual(f.range, f.corange)
@@ -149,7 +154,7 @@ def _ep_residual(f):
 def is_ep(m, cfg=DEFAULT_TOLERANCES):
     """Fast EP test from a single SVD: R(m) equals R(m*).
 
-    Returns ``(flag, residual)``; used by the product procedures where the
+    Returns ``(flag, residual)``; used by the procedures where the
     full report would be wasteful.
     """
     residual = _ep_residual(factor(require_square(m), cfg))

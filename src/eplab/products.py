@@ -19,7 +19,7 @@ from .subspaces import (
     factor,
     inclusion_residual,
     intersect,
-    range_basis,
+    range_basis,  # not called here; bench/tests read products.range_basis
     subspace_sum,
 )
 
@@ -144,21 +144,18 @@ def product_range_identity(a, b, cfg=DEFAULT_TOLERANCES):
     Both sides are reported; combine with group_invertible_check(a) to test
     the entailment under kernel stability of ``a``.
     """
-    a, b = require_pair(a, b)
-    fa, fb = factor(a, cfg), factor(b, cfg)
-    r_ab = range_basis(fa.unit @ fb.unit, cfg)
+    fa, fb, fab = _factored_pair(a, b, cfg)
     residuals = {
-        "hypothesis": inclusion_residual(r_ab, fb.range),
-        "conclusion": equality_residual(r_ab, intersect(fa.range, fb.range, cfg)),
+        "hypothesis": inclusion_residual(fab.range, fb.range),
+        "conclusion": equality_residual(fab.range, intersect(fa.range, fb.range, cfg)),
     }
     return RangeIdentityReport(
         **within_each(residuals, cfg.subspace_tol), residuals=residuals
     )
 
 
-def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
-    """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
-    fa, fb, fab = _factored_pair(a, b, cfg)
+def _johnson_vinoth(fa, fb, fab, cfg):
+    """Johnson-Vinoth facts from the factorizations of a, b and ab."""
     residuals = {
         "hyp_range": inclusion_residual(fb.range, fa.range),
         "hyp_kernel": inclusion_residual(fb.kernel, fa.kernel),
@@ -168,6 +165,11 @@ def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
         ab_hypo_ep=_hypo_ep(_projector_commutator(fab), cfg)[0],
         residuals=residuals,
     )
+
+
+def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
+    """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
+    return _johnson_vinoth(*_factored_pair(a, b, cfg), cfg)
 
 
 def power_ep(a, n, cfg=DEFAULT_TOLERANCES):

@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError
 from .kernel import require_pair
-from .predicates import classify
+from .predicates import _coposinormal_residual, _posinormal_residual
 from .subspaces import equality_residual, factor, inclusion_residual, intersect
 
 
@@ -25,7 +25,8 @@ from .subspaces import equality_residual, factor, inclusion_residual, intersect
 class BlockDecomposition:
     """Compression of (A, B) to the splitting N(A)^perp + N(A).
 
-    ``basis_u`` is the unitary [Q | K].  ``residuals`` carries
+    ``basis_u`` is the unitary U = [Q | K]; the blocks are slices of U*AU
+    and U*BU, each formed with one product.  ``residuals`` carries
     ``reducing`` = ||K*AQ|| + ||Q*AK|| + ||K*AK|| (zero exactly when N(A)
     reduces A), ``commutation`` = ||AB - BA||, and ``ya`` = ||Y A'||.
     """
@@ -88,31 +89,23 @@ class PosinormalProductConditions:
 def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
     a, b = require_pair(a, b)
     f = factor(a, cfg)
-    basis_u = f.vh.conj().T
-    q, k = basis_u[:, : f.rank], basis_u[:, f.rank :]
-
-    a_prime = q.conj().T @ a @ q
-    b_prime = q.conj().T @ b @ q
-    x = q.conj().T @ b @ k
-    y = k.conj().T @ b @ q
-    z = k.conj().T @ b @ k
-
-    reducing = (
-        float(np.linalg.norm(k.conj().T @ a @ q))
-        + float(np.linalg.norm(q.conj().T @ a @ k))
-        + float(np.linalg.norm(k.conj().T @ a @ k))
-    )
-    commutation = float(np.linalg.norm(a @ b - b @ a))
-    ya = float(np.linalg.norm(y @ a_prime))
-
+    r, basis_u = f.rank, f.vh.conj().T
+    ua, ub = f.vh @ a @ basis_u, f.vh @ b @ basis_u
+    a_prime, y = ua[:r, :r], ub[r:, :r]
+    off_core = (ua[r:, :r], ua[:r, r:], ua[r:, r:])
+    residuals = {
+        "reducing": sum(float(np.linalg.norm(block)) for block in off_core),
+        "commutation": float(np.linalg.norm(a @ b - b @ a)),
+        "ya": float(np.linalg.norm(y @ a_prime)),
+    }
     return BlockDecomposition(
         basis_u=basis_u,
         block_a_prime=a_prime,
-        block_b_prime=b_prime,
-        block_x=x,
+        block_b_prime=ub[:r, :r],
+        block_x=ub[:r, r:],
         block_y=y,
-        block_z=z,
-        residuals={"reducing": reducing, "commutation": commutation, "ya": ya},
+        block_z=ub[r:, r:],
+        residuals=residuals,
     )
 
 
@@ -134,6 +127,14 @@ def _snap_block(block, scale, cfg):
     if block.size and within(norm, cfg.subspace_tol * scale, "block norm"):
         return np.zeros_like(block)
     return block
+
+
+def _block_flag(block, residual, cfg):
+    """``residual`` of the block's factorization within ``subspace_tol``;
+    True for an empty block."""
+    if block.size == 0:
+        return True
+    return within(residual(factor(block, cfg)), cfg.subspace_tol, "block inclusion")
 
 
 def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
@@ -166,8 +167,8 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
     r_bp = inclusion_residual(bp_source, fbp.cokernel)
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
-    b_full = dec.b_compressed()
-    if b_full.size == 0 or classify(b_full, cfg).coposinormal:
+    # the equality versions apply when the compressed B is coposinormal
+    if _block_flag(dec.b_compressed(), _coposinormal_residual, cfg):
         z_equal_res = equality_residual(fz.kernel, z_target)
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
         bp_equal_res = equality_residual(bp_source, fbp.cokernel)
@@ -189,12 +190,10 @@ def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
     _, b_norm = _block_scales(dec)
     bp = _snap_block(dec.block_b_prime, b_norm, cfg)
     z = _snap_block(dec.block_z, b_norm, cfg)
-    b_prime_posinormal = bp.size == 0 or classify(bp, cfg).posinormal
-    z_coposinormal = z.size == 0 or classify(z, cfg).coposinormal
     y_norm = float(np.linalg.norm(dec.block_y))
     return PosinormalProductConditions(
-        b_prime_posinormal=bool(b_prime_posinormal),
-        z_coposinormal=bool(z_coposinormal),
+        b_prime_posinormal=_block_flag(bp, _posinormal_residual, cfg),
+        z_coposinormal=_block_flag(z, _coposinormal_residual, cfg),
         y_zero=within(y_norm, cfg.subspace_tol * b_norm, "y_norm"),
         y_norm=y_norm,
     )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eplab
 from eplab import catalog, write_matrix
 from eplab.cli import main, parse_size_list
 
@@ -285,3 +290,17 @@ class TestSeedEnvironment:
         )
         assert code == 0
         assert doc["result"]["seed"] == 5
+
+
+class TestColdStart:
+    def test_import_does_not_load_the_process_pool(self):
+        # multiprocessing is imported only by a run with --jobs above 1
+        src = str(Path(eplab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import eplab.cli, sys; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"

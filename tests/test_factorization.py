@@ -19,6 +19,7 @@ from eplab import (
     random_commuting_ep_pair,
     random_ep,
     random_johnson_vinoth_pair,
+    sweep,
     write_matrix,
 )
 from eplab.cli import main
@@ -105,7 +106,7 @@ def eigvalsh_calls(monkeypatch):
 # exact full-SVD counts, one factorization per distinct matrix: classify
 # factors M; a product procedure factors A, B and AB (A and A^2 for the
 # squaring check); intersect and subspace_sum add their own stacked bases;
-# a block check factors Z, Y and B' and classifies the compressed B.
+# a block check factors Z, Y, B' and the compressed B.
 SVD_COUNTS = {
     "classify": 1,
     "hartwig_katz": 6,
@@ -138,13 +139,14 @@ def test_full_svd_count(name, full_svds):
 
 
 # exact eigvalsh counts: classify decides hyponormal and hypo-EP with one
-# eigensolve each and skips both for a zero matrix; power_ep reads EP from
-# each power's factorization; here the Z block snaps to zero, so only B'
-# is classified with eigensolves.
+# eigensolve each and skips both for a zero matrix; power_ep, the block
+# checks and the truncation sweep read range inclusions from factorizations.
 EIGVALSH_COUNTS = {
     "classify": 2,
     "power_ep": 0,
-    "posinormal_product_conditions": 2,
+    "posinormal_product_conditions": 0,
+    "block_kernel_inclusions": 0,
+    "sweep": 0,
 }
 
 
@@ -156,24 +158,42 @@ def test_eigvalsh_count(name, eigvalsh_calls):
         "classify": lambda: classify(a @ b),
         "power_ep": lambda: power_ep(a, 5),
         "posinormal_product_conditions": lambda: posinormal_product_conditions(dec),
+        "block_kernel_inclusions": lambda: block_kernel_inclusions(dec),
+        "sweep": lambda: sweep("shift_block", [2, 3, 4]),
     }
     eigvalsh_calls.clear()
     calls[name]()
     assert len(eigvalsh_calls) == EIGVALSH_COUNTS[name]
 
 
-def test_product_command_factors_a_b_and_ab_once_per_procedure(
-    full_svds, tmp_path, capsys
-):
-    # Hartwig-Katz (6) and Johnson-Vinoth (3); Djordjevic gates the
-    # Hartwig-Katz report instead of factoring again
+@pytest.fixture
+def pair_files(tmp_path):
     a, b = random_commuting_ep_pair(6, 4, 2)
     write_matrix(tmp_path / "a.cmat", a)
     write_matrix(tmp_path / "b.cmat", b)
+    return str(tmp_path / "a.cmat"), str(tmp_path / "b.cmat")
+
+
+def test_product_command_factors_a_b_and_ab_once_per_procedure(
+    full_svds, pair_files, capsys
+):
+    # A, B and AB (3) serve both Hartwig-Katz and Johnson-Vinoth, and
+    # Hartwig-Katz's intersect and subspace_sum add 3; Djordjevic gates the
+    # Hartwig-Katz report instead of factoring again
     full_svds.clear()
-    assert main(["product", str(tmp_path / "a.cmat"), str(tmp_path / "b.cmat")]) == 0
+    assert main(["product", *pair_files]) == 0
+    capsys.readouterr()
+    assert len(full_svds) == 6
+
+
+def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
+    # A (1), the product conditions (2) and the kernel inclusions (6)
+    full_svds.clear()
+    eigvalsh_calls.clear()
+    assert main(["decompose", *pair_files]) == 0
     capsys.readouterr()
     assert len(full_svds) == 9
+    assert len(eigvalsh_calls) == 0
 
 
 def test_johnson_vinoth_generator_factors_once(full_svds):

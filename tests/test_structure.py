@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eplab import (
+    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     InapplicableError,
     block_kernel_inclusions,
@@ -13,6 +14,7 @@ from eplab import (
     random_ep,
     random_same_kernel_pair,
 )
+from eplab.structure import _block_scales, _snap_block
 
 
 class TestDecompose:
@@ -187,3 +189,58 @@ class TestRelativeBounds:
             dec = decompose_pair(1e160 * a, 1e160 * b)
             with pytest.raises(InapplicableError, match="not finite"):
                 posinormal_product_conditions(dec)
+
+
+# the seeds of the pair tests above
+_PAIR_SEEDS = [*range(7000, 7010), *range(8000, 8008)]
+
+
+def _seeded_pair(make, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    return make(n, int(rng.integers(1, n + 1)), seed=rng)
+
+
+def _jordan_pair(kernel_block):
+    # A = diag(1, 1, 0, 0) and a block-diagonal B with a Jordan block in
+    # its core (B' not posinormal) or in its kernel part (Z not coposinormal)
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.zeros((4, 4), dtype=complex)
+    b[:2, :2], b[2:, 2:] = (np.eye(2), jordan) if kernel_block else (jordan, np.eye(2))
+    return np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), b
+
+
+_COMMUTING = [_seeded_pair(random_commuting_ep_pair, s) for s in _PAIR_SEEDS]
+_SAME_KERNEL = [_seeded_pair(random_same_kernel_pair, s) for s in _PAIR_SEEDS]
+_JORDAN = [_jordan_pair(False), _jordan_pair(True)]
+
+
+class TestClassifyEquivalence:
+    """The block checks read one range inclusion from a block's
+    factorization; ``classify`` on the same snapped block is the reference."""
+
+    @pytest.mark.parametrize("pair", _COMMUTING + _SAME_KERNEL + _JORDAN)
+    def test_product_conditions(self, pair):
+        dec = decompose_pair(*pair)
+        _, b_norm = _block_scales(dec)
+        bp = _snap_block(dec.block_b_prime, b_norm, DEFAULT_TOLERANCES)
+        z = _snap_block(dec.block_z, b_norm, DEFAULT_TOLERANCES)
+        conditions = posinormal_product_conditions(dec)
+        assert conditions.b_prime_posinormal == (bp.size == 0 or classify(bp).posinormal)
+        assert conditions.z_coposinormal == (z.size == 0 or classify(z).coposinormal)
+
+    @pytest.mark.parametrize("pair", _COMMUTING + _JORDAN)
+    def test_equal_versions_gated_on_compressed_b(self, pair):
+        dec = decompose_pair(*pair)
+        report = block_kernel_inclusions(dec)
+        b_full = dec.b_compressed()
+        gated = b_full.size == 0 or classify(b_full).coposinormal
+        assert (report.kernel_z_equal is not None) == gated
+        assert (report.kernel_bprime_equal is not None) == gated
+
+    def test_jordan_pairs_exercise_both_truth_values(self):
+        core, kernel = (posinormal_product_conditions(decompose_pair(*p)) for p in _JORDAN)
+        assert (core.b_prime_posinormal, core.z_coposinormal) == (False, True)
+        assert (kernel.b_prime_posinormal, kernel.z_coposinormal) == (True, False)
+        for pair in _JORDAN:
+            assert block_kernel_inclusions(decompose_pair(*pair)).kernel_z_equal is None
