@@ -23,7 +23,7 @@ from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
 from .matfile import read_matrix, write_matrix
 from .predicates import FLAG_NAMES, classify
-from .products import _factored_pair, _johnson_vinoth, _product_report, _require_ep
+from .products import djordjevic_check, hartwig_katz, johnson_vinoth_check
 from .structure import (
     block_kernel_inclusions,
     decompose_pair,
@@ -106,13 +106,14 @@ def cmd_classify(args, cfg):
 
 
 def cmd_product(args, cfg):
-    # one factorization of A, B and AB serves both reports
-    pair = _factored_pair(read_matrix(args.path_a), read_matrix(args.path_b), cfg)
-    hk = _product_report(*pair, cfg)
-    result = {"hartwig_katz": hk, "johnson_vinoth": _johnson_vinoth(*pair, cfg)}
+    # the three procedures read one memoized pair: A, B and AB are factored once
+    a, b = read_matrix(args.path_a), read_matrix(args.path_b)
+    result = {
+        "hartwig_katz": hartwig_katz(a, b, cfg),
+        "johnson_vinoth": johnson_vinoth_check(a, b, cfg),
+    }
     try:
-        # the Djordjevic equivalence is the same report under an EP gate
-        result["djordjevic"] = _require_ep(hk)
+        result["djordjevic"] = djordjevic_check(a, b, cfg)
     except InapplicableError as exc:
         result["djordjevic"] = {"applicable": False, "reason": str(exc)}
     return {"path_a": args.path_a, "path_b": args.path_b}, result, ()

@@ -27,7 +27,7 @@ from .generators import (
     random_same_kernel_pair,
     random_unitary,
 )
-from .predicates import classify, is_ep
+from .predicates import _posinormal_residual, classify, is_ep
 from .products import (
     group_invertible_check,
     hartwig_katz,
@@ -36,6 +36,7 @@ from .products import (
     product_range_identity,
 )
 from .structure import block_kernel_inclusions, decompose_pair, posinormal_product_conditions
+from .subspaces import factor
 
 _PAIR_COND_CAP = 1e2   # cores entering products
 _POWER_COND_CAP = 5.0  # cores raised to the 5th power
@@ -141,12 +142,10 @@ def _commuting_pair(rng, dims):
 
 def _t_commuting_posinormal(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
-    report = classify(a @ b, cfg)
+    residual = _posinormal_residual(factor(a @ b, cfg))
     violations = []
-    if not report.posinormal:
-        violations.append(
-            ("product_posinormal", {"residual": report.residuals["posinormal_inclusion"]})
-        )
+    if not within(residual, cfg.subspace_tol, "posinormal_inclusion"):
+        violations.append(("product_posinormal", {"residual": residual}))
     return violations, 1
 
 
@@ -165,7 +164,8 @@ def _t_commuting_ep(rng, dims, cfg):
                 },
             )
         )
-    ep_ab, res_ab = is_ep(ab, cfg)
+    # classify's EP flag and residual are is_ep's: the same _ep_residual of AB
+    ep_ab, res_ab = report.ep, report.residuals["ep_equality"]
     ep_ba, res_ba = is_ep(ba, cfg)
     if ep_ab != ep_ba:
         violations.append(

@@ -18,7 +18,7 @@ from .kernel import numerical_rank, require_square
 from .predicates import _ep_residual, is_ep
 from .subspaces import (
     Subspace,
-    bouldin_angle,
+    _bouldin_angle,
     factor,
     includes,
     kernel_basis,
@@ -401,7 +401,7 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
     n_a = kernel_basis(a, cfg)
     r_b = range_basis(b, cfg)
     cos = minimal_angle(n_a, r_b).cos_min_angle if n_a.dim and r_b.dim else math.nan
-    bouldin = bouldin_angle(a, b, cfg).cos_min_angle
+    bouldin = _bouldin_angle(n_a, r_b, cfg).cos_min_angle
     return TruncationMetrics(
         size=int(size),
         cos_min_angle=cos,

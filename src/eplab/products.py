@@ -3,7 +3,9 @@
 Every procedure returns residuals alongside booleans so a fuzz failure can
 be triaged as numerical (residual near a threshold) or mathematical.
 Hypotheses are checked, never assumed; procedures with an EP precondition
-raise InapplicableError instead of returning a silent False.
+raise InapplicableError instead of returning a silent False.  The pair
+procedures read one memoized :class:`~eplab.subspaces.FactoredPair`, so a
+chain of them on one pair factors A, B and AB once.
 """
 
 from dataclasses import dataclass
@@ -12,11 +14,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
-from .kernel import require_pair, require_square
+from .kernel import require_square
 from .predicates import _ep_residual, _hypo_ep, _projector_commutator
 from .subspaces import (
     equality_residual,
     factor,
+    factor_pair,
     inclusion_residual,
     intersect,
     range_basis,  # not called here; bench/tests read products.range_basis
@@ -68,25 +71,30 @@ class JohnsonVinothReport:
     residuals: dict
 
 
-def _factored_pair(a, b, cfg):
-    """Factorizations of A, B and of the product of their unit-scaled forms:
-    AB up to a positive scalar, so every range, kernel and EP fact of AB."""
-    a, b = require_pair(a, b)
-    fa, fb = factor(a, cfg), factor(b, cfg)
-    return fa, fb, factor(fa.unit @ fb.unit, cfg)
-
-
-def _product_report(fa, fb, fab, cfg):
-    """Product facts for (a, b), given the factorizations of a, b and ab."""
+def _range_identity(pair):
+    """R(AB) ⊆ R(B) and R(AB) = R(A) ∩ R(B) for the pair."""
+    fa, fb, fab, cfg = pair.fa, pair.fb, pair.fab, pair.cfg
     residuals = {
-        "cond_i": inclusion_residual(fab.range, fb.range),
+        "hypothesis": inclusion_residual(fab.range, fb.range),
+        "conclusion": equality_residual(fab.range, intersect(fa.range, fb.range, cfg)),
+    }
+    return RangeIdentityReport(
+        **within_each(residuals, cfg.subspace_tol), residuals=residuals
+    )
+
+
+def _product_report(pair):
+    """Product facts for the pair; ``cond_i`` and ``range_identity`` are the
+    range-identity residuals."""
+    fa, fb, fab, cfg = pair.fa, pair.fb, pair.fab, pair.cfg
+    shared = pair.report(_range_identity).residuals
+    residuals = {
+        "cond_i": shared["hypothesis"],
         "cond_ii": inclusion_residual(fa.kernel, fab.kernel),
         "a_ep": _ep_residual(fa),
         "b_ep": _ep_residual(fb),
         "ab_ep": _ep_residual(fab),
-        "range_identity": equality_residual(
-            fab.range, intersect(fa.range, fb.range, cfg)
-        ),
+        "range_identity": shared["conclusion"],
         "kernel_identity": equality_residual(
             fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
         ),
@@ -98,7 +106,7 @@ def _product_report(fa, fb, fab, cfg):
 
 def hartwig_katz(a, b, cfg=DEFAULT_TOLERANCES):
     """All range/kernel product facts, with no hypothesis enforcement."""
-    return _product_report(*_factored_pair(a, b, cfg), cfg)
+    return factor_pair(a, b, cfg).report(_product_report)
 
 
 def _require_ep(report):
@@ -144,32 +152,26 @@ def product_range_identity(a, b, cfg=DEFAULT_TOLERANCES):
     Both sides are reported; combine with group_invertible_check(a) to test
     the entailment under kernel stability of ``a``.
     """
-    fa, fb, fab = _factored_pair(a, b, cfg)
-    residuals = {
-        "hypothesis": inclusion_residual(fab.range, fb.range),
-        "conclusion": equality_residual(fab.range, intersect(fa.range, fb.range, cfg)),
-    }
-    return RangeIdentityReport(
-        **within_each(residuals, cfg.subspace_tol), residuals=residuals
-    )
+    return factor_pair(a, b, cfg).report(_range_identity)
 
 
-def _johnson_vinoth(fa, fb, fab, cfg):
-    """Johnson-Vinoth facts from the factorizations of a, b and ab."""
+def _johnson_vinoth(pair):
+    """Johnson-Vinoth facts for the pair."""
+    fa, fb = pair.fa, pair.fb
     residuals = {
         "hyp_range": inclusion_residual(fb.range, fa.range),
         "hyp_kernel": inclusion_residual(fb.kernel, fa.kernel),
     }
     return JohnsonVinothReport(
-        **within_each(residuals, cfg.subspace_tol),
-        ab_hypo_ep=_hypo_ep(_projector_commutator(fab), cfg)[0],
+        **within_each(residuals, pair.cfg.subspace_tol),
+        ab_hypo_ep=_hypo_ep(_projector_commutator(pair.fab), pair.cfg)[0],
         residuals=residuals,
     )
 
 
 def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
     """Hypotheses R(B) ⊆ R(A), N(B) ⊆ N(A), and whether AB is hypo-EP."""
-    return _johnson_vinoth(*_factored_pair(a, b, cfg), cfg)
+    return factor_pair(a, b, cfg).report(_johnson_vinoth)
 
 
 def power_ep(a, n, cfg=DEFAULT_TOLERANCES):

@@ -9,16 +9,15 @@ with A' = Q*AQ, B' = Q*BQ, X = Q*BK, Y = K*BQ, Z = K*BK.  Decomposition
 never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError
-from .kernel import require_pair
 from .predicates import _coposinormal_residual, _posinormal_residual
-from .subspaces import equality_residual, factor, inclusion_residual, intersect
+from .subspaces import factor, factor_pair, inclusion_residual, intersect
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +37,8 @@ class BlockDecomposition:
     block_y: np.ndarray
     block_z: np.ndarray
     residuals: dict
+    # what the block checks compute once per decomposition (and config)
+    _shared: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def core_dim(self):
@@ -86,11 +87,12 @@ class PosinormalProductConditions:
     y_norm: float
 
 
-def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
-    a, b = require_pair(a, b)
-    f = factor(a, cfg)
+def _decompose(pair):
+    a, b, f = pair.a, pair.b, pair.fa
     r, basis_u = f.rank, f.vh.conj().T
     ua, ub = f.vh @ a @ basis_u, f.vh @ b @ basis_u
+    for m in (basis_u, ua, ub):  # the blocks are slices, shared by every copy
+        m.setflags(write=False)
     a_prime, y = ua[:r, :r], ub[r:, :r]
     off_core = (ua[r:, :r], ua[:r, r:], ua[r:, r:])
     residuals = {
@@ -109,12 +111,20 @@ def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
     )
 
 
+def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
+    """The :class:`BlockDecomposition` of (a, b), from A's factorization."""
+    return factor_pair(a, b, cfg).report(_decompose)
+
+
 def _block_scales(dec):
-    a_norm = float(
-        np.sqrt(np.linalg.norm(dec.block_a_prime) ** 2 + dec.residuals["reducing"] ** 2)
-    )
-    b_norm = float(np.linalg.norm(dec.b_compressed()))
-    return a_norm, b_norm
+    """(‖A‖, ‖B‖) in Frobenius norm, from the blocks; computed once per
+    decomposition."""
+    if "scales" not in dec._shared:
+        a_norm = float(
+            np.sqrt(np.linalg.norm(dec.block_a_prime) ** 2 + dec.residuals["reducing"] ** 2)
+        )
+        dec._shared["scales"] = a_norm, float(np.linalg.norm(dec.b_compressed()))
+    return dec._shared["scales"]
 
 
 def _snap_block(block, scale, cfg):
@@ -129,12 +139,25 @@ def _snap_block(block, scale, cfg):
     return block
 
 
-def _block_flag(block, residual, cfg):
-    """``residual`` of the block's factorization within ``subspace_tol``;
-    True for an empty block."""
-    if block.size == 0:
-        return True
-    return within(residual(factor(block, cfg)), cfg.subspace_tol, "block inclusion")
+def _block_factor(dec, name, cfg):
+    """Factorization of the block ``"b_prime"``, ``"y"`` or ``"z"`` of
+    ``dec`` snapped by ``_snap_block``, or of the compressed B for ``"b"``;
+    made once per decomposition and config, so the block checks share it."""
+    key = (name, cfg)
+    if key not in dec._shared:
+        if name == "b":
+            block = dec.b_compressed()
+        else:
+            block = _snap_block(getattr(dec, "block_" + name), _block_scales(dec)[1], cfg)
+        dec._shared[key] = factor(block, cfg)
+    return dec._shared[key]
+
+
+def _block_flag(dec, name, residual, cfg):
+    """``residual`` of the block's factorization within ``subspace_tol``
+    (an empty block's residual is 0)."""
+    f = _block_factor(dec, name, cfg)
+    return within(residual(f), cfg.subspace_tol, "block inclusion")
 
 
 def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
@@ -156,11 +179,8 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
             f"(residual {dec.residuals['reducing']:.3e})"
         )
 
-    z = _snap_block(dec.block_z, b_norm, cfg)
-    y = _snap_block(dec.block_y, b_norm, cfg)
-    bp = _snap_block(dec.block_b_prime, b_norm, cfg)
     # N(X*) is the cokernel of X's factorization
-    fz, fy, fbp = factor(z, cfg), factor(y, cfg), factor(bp, cfg)
+    fz, fy, fbp = (_block_factor(dec, name, cfg) for name in ("z", "y", "b_prime"))
     z_target = intersect(fz.cokernel, fy.cokernel, cfg)
     r_z = inclusion_residual(fz.kernel, z_target)
     bp_source = intersect(fbp.kernel, fy.kernel, cfg)
@@ -168,10 +188,11 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
     # the equality versions apply when the compressed B is coposinormal
-    if _block_flag(dec.b_compressed(), _coposinormal_residual, cfg):
-        z_equal_res = equality_residual(fz.kernel, z_target)
+    if _block_flag(dec, "b", _coposinormal_residual, cfg):
+        # equality residual = max of the two inclusion residuals, one of them known
+        z_equal_res = max(r_z, inclusion_residual(z_target, fz.kernel))
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
-        bp_equal_res = equality_residual(bp_source, fbp.cokernel)
+        bp_equal_res = max(r_bp, inclusion_residual(fbp.cokernel, bp_source))
         bp_equal = within(bp_equal_res, tol, "kernel_bprime_equal")
 
     return InclusionReport(
@@ -188,12 +209,10 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 
 def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
     _, b_norm = _block_scales(dec)
-    bp = _snap_block(dec.block_b_prime, b_norm, cfg)
-    z = _snap_block(dec.block_z, b_norm, cfg)
     y_norm = float(np.linalg.norm(dec.block_y))
     return PosinormalProductConditions(
-        b_prime_posinormal=_block_flag(bp, _posinormal_residual, cfg),
-        z_coposinormal=_block_flag(z, _coposinormal_residual, cfg),
+        b_prime_posinormal=_block_flag(dec, "b_prime", _posinormal_residual, cfg),
+        z_coposinormal=_block_flag(dec, "z", _coposinormal_residual, cfg),
         y_zero=within(y_norm, cfg.subspace_tol * b_norm, "y_norm"),
         y_norm=y_norm,
     )

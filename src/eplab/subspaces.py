@@ -9,15 +9,15 @@ meaningful when two spaces share a dimension but differ.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, within
+from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
-from .kernel import RankDecision, as_matrix, decide_rank, require_square
+from .kernel import RankDecision, as_matrix, decide_rank, require_pair, require_square
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
@@ -109,6 +109,56 @@ def factor(m, cfg=DEFAULT_TOLERANCES):
     m = as_matrix(m)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg))
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredPair:
+    """A validated square pair (A, B) under one tolerance config, with
+    read-only copies of the operands.  The factorizations ``fa``, ``fb`` and
+    ``fab`` (of the product of the unit-scaled operands: AB up to a positive
+    scalar, so every range, kernel and EP fact of AB), and each report
+    :meth:`report` builds from them, are made on first use and kept.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    cfg: ToleranceConfig
+    _reports: dict = field(default_factory=dict, init=False, repr=False)
+
+    fa = cached_property(lambda self: factor(self.a, self.cfg))
+    fb = cached_property(lambda self: factor(self.b, self.cfg))
+    fab = cached_property(lambda self: factor(self.fa.unit @ self.fb.unit, self.cfg))
+
+    def report(self, build):
+        """``build(self)``, built on the first request and kept; each call
+        returns a copy whose ``residuals`` dict is the caller's own."""
+        if build not in self._reports:
+            self._reports[build] = build(self)
+        built = self._reports[build]
+        return replace(built, residuals=dict(built.residuals))
+
+
+_last_pair = (None, None)  # (key, pair) of the last pair factor_pair built
+
+
+def factor_pair(a, b, cfg=DEFAULT_TOLERANCES):
+    """The :class:`FactoredPair` of (a, b) under ``cfg``.
+
+    The last pair built is kept and returned again while both operands are
+    byte-equal to its own and ``cfg`` is equal, so a chain of pair
+    decisions on one pair factors A, B and AB once.  It is replaced in one
+    assignment, so concurrent callers can at worst miss it.
+    """
+    global _last_pair
+    a, b = require_pair(a, b)
+    key = (a.shape, a.tobytes(), b.tobytes(), cfg)
+    last_key, pair = _last_pair
+    if last_key != key:
+        # views of the immutable key bytes: operands no caller can write to
+        data = (np.frombuffer(m, np.complex128).reshape(a.shape) for m in key[1:3])
+        pair = FactoredPair(*data, cfg)
+        _last_pair = (key, pair)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -254,8 +304,11 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     t = require_square(t)
     if s.shape != t.shape:
         raise DimensionMismatchError(f"size mismatch: {s.shape} vs {t.shape}")
-    ns = kernel_basis(s, cfg)
-    rt = range_basis(t, cfg)
+    return _bouldin_angle(kernel_basis(s, cfg), range_basis(t, cfg), cfg)
+
+
+def _bouldin_angle(ns, rt, cfg):
+    """:func:`bouldin_angle` from the subspaces N(s) and R(t)."""
     v = intersect(ns, rt, cfg)
     w = complement_within(v, ns, cfg)
     components = BouldinComponents(

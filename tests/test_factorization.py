@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from eplab import (
     Factorization,
     Subspace,
+    ToleranceConfig,
     block_kernel_inclusions,
     classify,
     decompose_pair,
@@ -19,9 +23,11 @@ from eplab import (
     random_commuting_ep_pair,
     random_ep,
     random_johnson_vinoth_pair,
+    random_same_kernel_pair,
     sweep,
     write_matrix,
 )
+from eplab import subspaces
 from eplab.cli import main
 from eplab.subspaces import equality_residual, kernel_basis
 
@@ -74,6 +80,19 @@ class TestViews:
         assert equality_residual(kernel_basis(m.T), Subspace(5, coker.basis.conj())) < 1e-10
 
 
+@pytest.fixture(autouse=True)
+def forget_pair():
+    """Empties the one-entry pair memo before and after each test, so a
+    count pin measures one cold call; call it to empty the memo again."""
+
+    def forget():
+        subspaces._last_pair = (None, None)
+
+    forget()
+    yield forget
+    forget()
+
+
 @pytest.fixture
 def full_svds(monkeypatch):
     """Shapes of the matrices given a full (compute_uv) SVD from now on."""
@@ -103,10 +122,12 @@ def eigvalsh_calls(monkeypatch):
     return shapes
 
 
-# exact full-SVD counts, one factorization per distinct matrix: classify
-# factors M; a product procedure factors A, B and AB (A and A^2 for the
-# squaring check); intersect and subspace_sum add their own stacked bases;
-# a block check factors Z, Y, B' and the compressed B.
+# exact full-SVD counts of one cold call, one factorization per distinct
+# matrix: classify factors M; a product procedure factors A, B and AB (A and
+# A^2 for the squaring check); intersect and subspace_sum add their own
+# stacked bases; a block check factors Z, Y, B' and the compressed B; per
+# size the sweep factors A, B and AB and the Bouldin angle's intersection and
+# complement, both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
     "classify": 1,
     "hartwig_katz": 6,
@@ -116,13 +137,15 @@ SVD_COUNTS = {
     "product_range_identity": 5,
     "block_kernel_inclusions": 6,
     "posinormal_product_conditions": 2,
+    "sweep": 18,
 }
 
 
 @pytest.mark.parametrize("name", sorted(SVD_COUNTS))
-def test_full_svd_count(name, full_svds):
+def test_full_svd_count(name, full_svds, forget_pair):
     a, b = random_commuting_ep_pair(6, 4, 2)
     dec = decompose_pair(a, b)
+    forget_pair()
     calls = {
         "classify": lambda: classify(a @ b),
         "hartwig_katz": lambda: hartwig_katz(a, b),
@@ -132,6 +155,7 @@ def test_full_svd_count(name, full_svds):
         "product_range_identity": lambda: product_range_identity(a, b),
         "block_kernel_inclusions": lambda: block_kernel_inclusions(dec),
         "posinormal_product_conditions": lambda: posinormal_product_conditions(dec),
+        "sweep": lambda: sweep("shift_block", [2, 3, 4]),
     }
     full_svds.clear()
     calls[name]()
@@ -151,9 +175,10 @@ EIGVALSH_COUNTS = {
 
 
 @pytest.mark.parametrize("name", sorted(EIGVALSH_COUNTS))
-def test_eigvalsh_count(name, eigvalsh_calls):
+def test_eigvalsh_count(name, eigvalsh_calls, forget_pair):
     a, b = random_commuting_ep_pair(6, 4, 2)
     dec = decompose_pair(a, b)
+    forget_pair()
     calls = {
         "classify": lambda: classify(a @ b),
         "power_ep": lambda: power_ep(a, 5),
@@ -187,12 +212,13 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
 
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
-    # A (1), the product conditions (2) and the kernel inclusions (6)
+    # A (1), the product conditions' B' and Z (2), and the kernel
+    # inclusions' Y, its two intersections and the compressed B (4)
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
     capsys.readouterr()
-    assert len(full_svds) == 9
+    assert len(full_svds) == 7
     assert len(eigvalsh_calls) == 0
 
 
@@ -201,3 +227,124 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
     full_svds.clear()
     random_johnson_vinoth_pair(a, 1)
     assert full_svds == [(5, 5)]
+
+
+def test_pair_decision_chain_factors_each_matrix_once(full_svds):
+    # Hartwig-Katz factors A, B and AB (3) plus its intersect and sum (3);
+    # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
+    # the inclusions reuse the conditions' snapped B' and Z
+    a, b = random_commuting_ep_pair(6, 4, 2)
+    counts = []
+
+    def count(call):
+        full_svds.clear()
+        result = call()
+        counts.append(len(full_svds))
+        return result
+
+    count(lambda: hartwig_katz(a, b))
+    count(lambda: johnson_vinoth_check(a, b))
+    count(lambda: djordjevic_check(a, b))
+    dec = count(lambda: decompose_pair(a, b))
+    count(lambda: posinormal_product_conditions(dec))
+    count(lambda: block_kernel_inclusions(dec))
+    assert counts == [6, 0, 0, 0, 2, 4]
+
+
+PAIR_PROCEDURES = {
+    "hartwig_katz": hartwig_katz,
+    "djordjevic_check": djordjevic_check,
+    "johnson_vinoth_check": johnson_vinoth_check,
+    "product_range_identity": product_range_identity,
+    "decompose_pair": decompose_pair,
+}
+_MEMO_PAIRS = [random_commuting_ep_pair(6, 4, 2), random_same_kernel_pair(5, 3, 4)]
+
+
+def _residual_bytes(report):
+    return list(report.residuals), np.array(list(report.residuals.values())).tobytes()
+
+
+class TestPairMemo:
+    @pytest.mark.parametrize("pair", _MEMO_PAIRS)
+    def test_cold_warm_and_reversed_order_agree(self, pair, forget_pair):
+        cold = {}
+        for name, procedure in PAIR_PROCEDURES.items():
+            forget_pair()
+            cold[name] = _residual_bytes(procedure(*pair))
+        for order in (list(PAIR_PROCEDURES), list(reversed(PAIR_PROCEDURES))):
+            forget_pair()
+            for name in order * 2:
+                assert _residual_bytes(PAIR_PROCEDURES[name](*pair)) == cold[name]
+
+    def test_an_operand_mutated_in_place_gets_a_fresh_answer(self, forget_pair):
+        (a, b), (c, _) = _MEMO_PAIRS[0], random_commuting_ep_pair(6, 2, 9)
+        fresh = {name: _residual_bytes(p(c, b)) for name, p in PAIR_PROCEDURES.items()}
+        for name, procedure in PAIR_PROCEDURES.items():
+            forget_pair()
+            x = a.copy()
+            before = _residual_bytes(procedure(x, b))
+            x[...] = c
+            assert _residual_bytes(procedure(x, b)) == fresh[name] != before
+
+    def test_the_pair_keeps_read_only_copies(self):
+        a, b = (m.copy() for m in _MEMO_PAIRS[0])
+        pair = subspaces.factor_pair(a, b)
+        a[0, 0] += 1.0
+        assert pair.a[0, 0] != a[0, 0]
+        dec = decompose_pair(*_MEMO_PAIRS[0])
+        for m in (pair.a, pair.b, dec.block_z, dec.basis_u):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(PAIR_PROCEDURES))
+    def test_a_caller_owns_the_residuals_it_is_given(self, name):
+        procedure, pair = PAIR_PROCEDURES[name], _MEMO_PAIRS[0]
+        expected = _residual_bytes(procedure(*pair))
+        for key in procedure(*pair).residuals:
+            procedure(*pair).residuals[key] = -1.0
+        returned = procedure(*pair)
+        returned.residuals.clear()
+        assert _residual_bytes(procedure(*pair)) == expected
+
+    def test_a_different_config_misses_and_an_equal_one_hits(self, full_svds):
+        a, b = _MEMO_PAIRS[0]
+        pair = subspaces.factor_pair(a, b)
+        assert subspaces.factor_pair(a, b, ToleranceConfig()) is pair
+        hartwig_katz(a, b)
+        full_svds.clear()
+        loose = ToleranceConfig(subspace_tol=1e-6)
+        assert subspaces.factor_pair(a, b, loose) is not pair
+        hartwig_katz(a, b, loose)
+        assert len(full_svds) == SVD_COUNTS["hartwig_katz"]
+
+    def test_the_memo_holds_one_pair(self, full_svds):
+        (a, b), (c, d) = _MEMO_PAIRS[0], random_commuting_ep_pair(6, 4, 3)
+        hartwig_katz(a, b)
+        hartwig_katz(c, d)
+        full_svds.clear()
+        hartwig_katz(a, b)
+        assert len(full_svds) == SVD_COUNTS["hartwig_katz"]
+
+    def test_threads_sharing_the_memo_get_their_own_answers(self):
+        pairs = [random_commuting_ep_pair(5, r, r) for r in (1, 2, 3, 4)]
+        expected = [_residual_bytes(hartwig_katz(*p)) for p in pairs]
+        wrong = []
+
+        def work(i):
+            for _ in range(25):
+                if _residual_bytes(hartwig_katz(*pairs[i])) != expected[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
