@@ -27,7 +27,7 @@ from .generators import (
     random_same_kernel_pair,
     random_unitary,
 )
-from .predicates import _posinormal_residual, classify, is_ep
+from .predicates import classify, is_ep
 from .products import (
     group_invertible_check,
     hartwig_katz,
@@ -142,7 +142,7 @@ def _commuting_pair(rng, dims):
 
 def _t_commuting_posinormal(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
-    residual = _posinormal_residual(factor(a @ b, cfg))
+    residual = factor(a @ b, cfg).posinormal_residual
     violations = []
     if not within(residual, cfg.subspace_tol, "posinormal_inclusion"):
         violations.append(("product_posinormal", {"residual": residual}))

@@ -23,7 +23,7 @@ def as_matrix(a):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+    if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
     return m
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
-from .subspaces import Subspace, equality_residual, factor, inclusion_residual
+from .subspaces import _spanned, equality_residual, factor, inclusion_residual
 
 # the eight predicate flags of a ClassificationReport, in report order
 FLAG_NAMES = (
@@ -87,11 +87,11 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
-    r_pos, r_copos = _posinormal_residual(f), _coposinormal_residual(f)
+    r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
     d = _projector_commutator(f)
     hypo_ep, min_eig = _hypo_ep(d, cfg)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
-    ker_t = Subspace(m.shape[0], f.cokernel.basis.conj())
+    ker_t = _spanned(f.cokernel.basis.conj(), f.range.basis.conj())
 
     residuals = {
         "commutator": float(np.linalg.norm(commutator)),
@@ -136,19 +136,9 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def _posinormal_residual(f):
-    """Posinormal residual of a factorization: R(m) inside R(m*)."""
-    return inclusion_residual(f.range, f.corange)
-
-
-def _coposinormal_residual(f):
-    """Coposinormal residual of a factorization: R(m*) inside R(m)."""
-    return inclusion_residual(f.corange, f.range)
-
-
 def _ep_residual(f):
     """EP residual of a factorization: R(m) against R(m*)."""
-    return equality_residual(f.range, f.corange)
+    return max(f.posinormal_residual, f.coposinormal_residual)
 
 
 def is_ep(m, cfg=DEFAULT_TOLERANCES):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError
-from .predicates import _coposinormal_residual, _posinormal_residual
 from .subspaces import factor, factor_pair, inclusion_residual, intersect
 
 
@@ -28,6 +27,7 @@ class BlockDecomposition:
     and U*BU, each formed with one product.  ``residuals`` carries
     ``reducing`` = ||K*AQ|| + ||Q*AK|| + ||K*AK|| (zero exactly when N(A)
     reduces A), ``commutation`` = ||AB - BA||, and ``ya`` = ||Y A'||.
+    ``operands`` are the read-only A and B the blocks were formed from.
     """
 
     basis_u: np.ndarray
@@ -37,6 +37,7 @@ class BlockDecomposition:
     block_y: np.ndarray
     block_z: np.ndarray
     residuals: dict
+    operands: tuple
     # what the block checks compute once per decomposition (and config)
     _shared: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -108,6 +109,7 @@ def _decompose(pair):
         block_y=y,
         block_z=ub[r:, r:],
         residuals=residuals,
+        operands=(a, b),
     )
 
 
@@ -141,23 +143,13 @@ def _snap_block(block, scale, cfg):
 
 def _block_factor(dec, name, cfg):
     """Factorization of the block ``"b_prime"``, ``"y"`` or ``"z"`` of
-    ``dec`` snapped by ``_snap_block``, or of the compressed B for ``"b"``;
-    made once per decomposition and config, so the block checks share it."""
+    ``dec`` snapped by ``_snap_block``; made once per decomposition and
+    config, so the block checks share it."""
     key = (name, cfg)
     if key not in dec._shared:
-        if name == "b":
-            block = dec.b_compressed()
-        else:
-            block = _snap_block(getattr(dec, "block_" + name), _block_scales(dec)[1], cfg)
+        block = _snap_block(getattr(dec, "block_" + name), _block_scales(dec)[1], cfg)
         dec._shared[key] = factor(block, cfg)
     return dec._shared[key]
-
-
-def _block_flag(dec, name, residual, cfg):
-    """``residual`` of the block's factorization within ``subspace_tol``
-    (an empty block's residual is 0)."""
-    f = _block_factor(dec, name, cfg)
-    return within(residual(f), cfg.subspace_tol, "block inclusion")
 
 
 def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
@@ -187,8 +179,10 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
     r_bp = inclusion_residual(bp_source, fbp.cokernel)
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
-    # the equality versions apply when the compressed B is coposinormal
-    if _block_flag(dec, "b", _coposinormal_residual, cfg):
+    # the equality versions apply when the compressed B, unitarily similar
+    # to B, is coposinormal: B's own factorization, shared with a pair chain
+    fb = factor_pair(*dec.operands, cfg).fb
+    if within(fb.coposinormal_residual, tol, "block inclusion"):
         # equality residual = max of the two inclusion residuals, one of them known
         z_equal_res = max(r_z, inclusion_residual(z_target, fz.kernel))
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
@@ -210,10 +204,13 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
     _, b_norm = _block_scales(dec)
     y_norm = float(np.linalg.norm(dec.block_y))
+    # an empty block's residuals are 0
+    fbp, fz = _block_factor(dec, "b_prime", cfg), _block_factor(dec, "z", cfg)
+    tol = cfg.subspace_tol
     return PosinormalProductConditions(
-        b_prime_posinormal=_block_flag(dec, "b_prime", _posinormal_residual, cfg),
-        z_coposinormal=_block_flag(dec, "z", _coposinormal_residual, cfg),
-        y_zero=within(y_norm, cfg.subspace_tol * b_norm, "y_norm"),
+        b_prime_posinormal=within(fbp.posinormal_residual, tol, "block inclusion"),
+        z_coposinormal=within(fz.coposinormal_residual, tol, "block inclusion"),
+        y_zero=within(y_norm, tol * b_norm, "y_norm"),
         y_norm=y_norm,
     )
 

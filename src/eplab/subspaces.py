@@ -3,9 +3,10 @@
 Subspaces are carried as matrices with orthonormal columns.  A matrix's
 range, corange, kernel, cokernel and pseudoinverse all come from one
 :class:`Factorization`, its full SVD under the shared rank decision.
-Inclusion and equality tests use one-sided projector residuals (the sine of
-the largest principal angle), never dimension comparison, so they stay
-meaningful when two spaces share a dimension but differ.
+Inclusion and equality tests use the sine of the largest principal angle,
+read from the orthogonal complement each subspace carries (Björck-Golub),
+never dimension comparison, so they stay meaningful when two spaces share a
+dimension but differ.
 """
 
 import math
@@ -24,7 +25,10 @@ class Subspace:
     """A linear subspace of C^n, represented by an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis is the
-    zero subspace.
+    zero subspace.  ``complement`` is an orthonormal basis of the orthogonal
+    complement: a factorization's views carry the other columns of their
+    unitary factor, and any other basis is completed by one full SVD on
+    first use.
     """
 
     ambient_dim: int
@@ -50,9 +54,22 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    @classmethod
-    def trivial(cls, ambient_dim):
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+    @cached_property
+    def complement(self):
+        return np.linalg.svd(self.basis)[0][:, self.dim :]
+
+    @staticmethod
+    def trivial(ambient_dim):
+        zero = np.zeros((ambient_dim, 0), dtype=np.complex128)
+        return _spanned(zero, np.eye(ambient_dim, dtype=np.complex128))
+
+
+def _spanned(basis, complement):
+    """The span of ``basis``, carrying ``complement`` (the other columns of
+    a unitary) as its orthogonal complement."""
+    s = Subspace(basis.shape[0], basis)
+    s.__dict__["complement"] = complement
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +79,8 @@ class Factorization:
 
     The first ``rank`` columns of ``u`` span the range R(m), the rest the
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
-    R(m*), the rest the kernel N(m).  Each view is built on first use.
+    R(m*), the rest the kernel N(m).  Each view is built on first use and
+    carries the other columns as its complement.
     """
 
     m: np.ndarray
@@ -77,19 +95,31 @@ class Factorization:
 
     @cached_property
     def range(self):
-        return Subspace(self.u.shape[0], self.u[:, : self.rank])
+        return _spanned(self.u[:, : self.rank], self.u[:, self.rank :])
 
     @cached_property
     def cokernel(self):
-        return Subspace(self.u.shape[0], self.u[:, self.rank :])
+        return _spanned(self.u[:, self.rank :], self.u[:, : self.rank])
 
     @cached_property
     def corange(self):
-        return Subspace(self.vh.shape[0], self.vh[: self.rank].conj().T)
+        v = self.vh.conj().T
+        return _spanned(v[:, : self.rank], v[:, self.rank :])
 
     @cached_property
     def kernel(self):
-        return Subspace(self.vh.shape[0], self.vh[self.rank :].conj().T)
+        v = self.vh.conj().T
+        return _spanned(v[:, self.rank :], v[:, : self.rank])
+
+    @cached_property
+    def posinormal_residual(self):
+        """Residual of R(m) inside R(m*), computed once."""
+        return inclusion_residual(self.range, self.corange)
+
+    @cached_property
+    def coposinormal_residual(self):
+        """Residual of R(m*) inside R(m), computed once."""
+        return inclusion_residual(self.corange, self.range)
 
     @cached_property
     def unit(self):
@@ -216,15 +246,14 @@ def _check_same_ambient(s1, s2):
 
 
 def inclusion_residual(s1, s2):
-    """sin of the largest principal angle of s1 against s2; 0 when s1 = {0}."""
+    """sin of the largest principal angle of s1 against s2: the largest
+    singular value of s2's complement* Q1 (Knyazev-Argentati); 0 when
+    s1 = {0} or s2 is the whole space."""
     _check_same_ambient(s1, s2)
-    if s1.dim == 0:
+    if s1.dim == 0 or s2.dim == s2.ambient_dim:
         return 0.0
-    q1, q2 = s1.basis, s2.basis
-    if s2.dim == 0:
-        return float(np.linalg.norm(q1, 2))
-    residual = q1 - q2 @ (q2.conj().T @ q1)
-    return float(np.linalg.norm(residual, 2))
+    cross = s2.complement.conj().T @ s1.basis
+    return float(np.linalg.svd(cross, compute_uv=False)[0])
 
 
 def includes(s1, s2, cfg=DEFAULT_TOLERANCES):

@@ -125,7 +125,7 @@ def eigvalsh_calls(monkeypatch):
 # exact full-SVD counts of one cold call, one factorization per distinct
 # matrix: classify factors M; a product procedure factors A, B and AB (A and
 # A^2 for the squaring check); intersect and subspace_sum add their own
-# stacked bases; a block check factors Z, Y, B' and the compressed B; per
+# stacked bases; a block check factors Z, Y, B' and B; per
 # size the sweep factors A, B and AB and the Bouldin angle's intersection and
 # complement, both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
@@ -213,7 +213,7 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
     # A (1), the product conditions' B' and Z (2), and the kernel
-    # inclusions' Y, its two intersections and the compressed B (4)
+    # inclusions' Y, its two intersections and B (4)
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
@@ -232,7 +232,7 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     # Hartwig-Katz factors A, B and AB (3) plus its intersect and sum (3);
     # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
-    # the inclusions reuse the conditions' snapped B' and Z
+    # the inclusions reuse the conditions' snapped B' and Z and the pair's B
     a, b = random_commuting_ep_pair(6, 4, 2)
     counts = []
 
@@ -248,7 +248,7 @@ def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     dec = count(lambda: decompose_pair(a, b))
     count(lambda: posinormal_product_conditions(dec))
     count(lambda: block_kernel_inclusions(dec))
-    assert counts == [6, 0, 0, 0, 2, 4]
+    assert counts == [6, 0, 0, 0, 2, 3]
 
 
 PAIR_PROCEDURES = {

@@ -64,6 +64,15 @@ class TestNumericalRank:
         with pytest.raises(InputError):
             numerical_rank([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(0.0, -np.inf),
+         complex(np.inf, 1.0), complex(np.nan, np.inf)],
+    )
+    def test_rejects_nonfinite_in_either_part(self, entry):
+        with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+            as_matrix([[entry, 0.0], [0.0, 1.0]])
+
 
 class TestPinv:
     def test_identity(self):

@@ -11,8 +11,11 @@ from eplab import (
     Subspace,
     TrivialSubspaceError,
     bouldin_angle,
+    equality_residual,
     equals,
+    factor,
     includes,
+    inclusion_residual,
     intersect,
     kernel_basis,
     minimal_angle,
@@ -249,3 +252,109 @@ class TestBouldinAngle:
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bouldin_angle(np.eye(2), np.eye(3))
+
+
+def _gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _factored(rng, columns):
+    """R(G H) for the n x k matrix ``columns`` and a random k x n H: a
+    factor slice spanning the columns, carrying its complement."""
+    n, k = columns.shape
+    return factor(columns @ _gaussian(rng, k, n)).range
+
+
+def _projector_residual(s1, s2):
+    """The projector formula ||Q1 - Q2 (Q2* Q1)||_2, as an oracle."""
+    q1, q2 = s1.basis, s2.basis
+    if q1.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(q1 - q2 @ (q2.conj().T @ q1), 2))
+
+
+class TestComplementResidual:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_projector_formula_at_every_dimension(self, n):
+        rng = np.random.default_rng(600 + n)
+        for k1 in range(n + 1):
+            g1 = _gaussian(rng, n, k1)
+            s1 = _factored(rng, g1)
+            for k2 in range(n + 1):
+                # a random k2-space, and one holding s1 whenever k2 >= k1
+                extra = _gaussian(rng, n, max(0, k2 - k1))
+                for s2 in (_factored(rng, _gaussian(rng, n, k2)),
+                           _factored(rng, np.hstack([g1, extra])) if k2 >= k1 else None):
+                    if s2 is None:
+                        continue
+                    assert s2.dim == k2
+                    for left, right in ((s1, s2), (s2, s1)):
+                        got = inclusion_residual(left, right)
+                        assert abs(got - _projector_residual(left, right)) <= 1e-14
+
+    def test_matches_projector_formula_at_n96(self):
+        # R(G[:, :k] H) for one G: nested ranges, so small angles as well
+        # as generic ones; the coranges are k-spaces in general position
+        n = 96
+        rng = np.random.default_rng(696)
+        g = _gaussian(rng, n, n)
+        fs = [factor(g[:, :k] @ _gaussian(rng, k, n)) for k in range(n + 1)]
+        for k, f in enumerate(fs):
+            assert f.range.dim == f.corange.dim == k
+            for s2 in (fs[min(n, k + 1)].range, fs[k // 2].corange):
+                for left, right in ((f.range, s2), (s2, f.range)):
+                    got = inclusion_residual(left, right)
+                    assert abs(got - _projector_residual(left, right)) <= 1e-14
+
+    def test_trivial_and_full_spaces(self):
+        rng = np.random.default_rng(5)
+        s = _factored(rng, _gaussian(rng, 6, 3))
+        zero, full = Subspace.trivial(6), factor(_gaussian(rng, 6, 6)).range
+        assert inclusion_residual(zero, s) == 0.0
+        assert inclusion_residual(s, full) == 0.0
+        assert inclusion_residual(zero, full) == inclusion_residual(full, full) == 0.0
+        assert abs(inclusion_residual(s, zero) - 1.0) <= 1e-14
+        assert abs(inclusion_residual(full, s) - 1.0) <= 1e-14
+        assert inclusion_residual(Subspace.trivial(0), Subspace.trivial(0)) == 0.0
+
+    def test_user_basis_matches_the_factor_slice(self):
+        rng = np.random.default_rng(11)
+        for n, k in ((1, 1), (4, 0), (4, 2), (7, 7), (8, 5)):
+            sliced = _factored(rng, _gaussian(rng, n, k))
+            rotation, _ = np.linalg.qr(_gaussian(rng, k, k))
+            user = Subspace(n, sliced.basis @ rotation)  # the same space
+            assert "complement" not in vars(user)  # completed on first use only
+            for j in range(n + 1):
+                t = _factored(rng, _gaussian(rng, n, j))
+                assert abs(inclusion_residual(t, user) - inclusion_residual(t, sliced)) <= 1e-14
+                assert abs(inclusion_residual(user, t) - inclusion_residual(sliced, t)) <= 1e-14
+            assert equality_residual(user, sliced) <= 1e-14
+
+    def test_non_orthonormal_user_basis_still_rejected(self):
+        with pytest.raises(InputError):
+            Subspace(2, np.array([[1.0], [1.0]]))
+        with pytest.raises(InputError):
+            Subspace(3, np.array([[1.0, 0.9], [0.0, 0.1], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_singular_value_svd_per_inclusion(self, n, monkeypatch):
+        rng = np.random.default_rng(21)
+        spaces = [_factored(rng, _gaussian(rng, n, k)) for k in range(n + 1)]
+        for s in spaces:
+            s.complement  # noqa: B018  (already held, from the factor)
+        calls = []
+        svd = np.linalg.svd
+
+        def recording_svd(m, *args, **kwargs):
+            calls.append((np.shape(m), kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for s1 in spaces:
+            for s2 in spaces:
+                calls.clear()
+                inclusion_residual(s1, s2)
+                if s1.dim == 0 or s2.dim == n:
+                    assert calls == []
+                else:
+                    assert calls == [((n - s2.dim, s1.dim), False)]
