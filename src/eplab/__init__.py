@@ -53,7 +53,6 @@ from .structure import (
     PosinormalProductConditions,
     block_kernel_inclusions,
     decompose_pair,
-    embed_core,
     posinormal_product_conditions,
 )
 from .products import (

@@ -1,12 +1,15 @@
 """Subspace algebra of C^n: ranges, kernels, lattice operations, angles.
 
-Subspaces are carried as matrices with orthonormal columns.  A matrix's
-range, corange, kernel, cokernel and pseudoinverse all come from one
+Subspaces are carried as matrices with orthonormal columns, each with an
+orthonormal basis of its orthogonal complement.  A matrix's range,
+corange, kernel, cokernel and pseudoinverse all come from one
 :class:`Factorization`, its full SVD under the shared rank decision.
-Inclusion and equality tests use the sine of the largest principal angle,
-read from the orthogonal complement each subspace carries (Björck-Golub),
-never dimension comparison, so they stay meaningful when two spaces share a
-dimension but differ.
+Subspaces are compared through one cross matrix, s2's complement* Q1,
+whose singular values are the sines of the principal angles of s1 against
+s2 (Björck-Golub).  Inclusion and equality read the largest sine, never
+dimension comparison, so they stay meaningful when two spaces share a
+dimension but differ.  Intersection and sum take the principal vectors
+whose sines are zero, decided against 1, and carry their complement.
 """
 
 import math
@@ -18,7 +21,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
-from .kernel import RankDecision, as_matrix, decide_rank, require_pair, require_square
+from .kernel import (
+    RankDecision, as_matrix, decide_rank, rank_threshold, require_pair, require_square
+)
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
@@ -269,43 +274,37 @@ def equals(s1, s2, cfg=DEFAULT_TOLERANCES):
     return within(equality_residual(s1, s2), cfg.subspace_tol, "equality residual")
 
 
-def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
-    """Intersection, via the null space of the stacked basis [Q1 | -Q2].
+def _orth(s):
+    """The orthogonal complement of ``s``, carrying ``s`` as its complement."""
+    return _spanned(s.complement, s.basis)
 
-    A kernel vector (u, v) satisfies Q1 u = Q2 v; mapping it back through Q1
-    and re-orthonormalizing yields an explicit basis with a clean rank
-    decision.
+
+def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
+    """s1 ∩ s2: the principal vectors of s1 at angle zero from s2
+    (Björck-Golub), carrying the other principal vectors and s1's
+    complement as its complement.
+
+    They are Q1 V for the right singular vectors V of the one cross matrix
+    s2.complement* Q1 whose singular values, the sines of the principal
+    angles, are zero.  The sines are decided against 1, the norm of an
+    orthonormal basis, under the shared rank threshold, never against the
+    largest sine: when s1 ⊆ s2 every sine is roundoff.  s1 itself when
+    s1 = {0} or s2 is the whole space.
     """
     _check_same_ambient(s1, s2)
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace.trivial(s1.ambient_dim)
-    stacked = np.hstack([s1.basis, -s2.basis])
-    null = kernel_basis(stacked, cfg)
-    if null.dim == 0:
-        return Subspace.trivial(s1.ambient_dim)
-    mapped = s1.basis @ null.basis[: s1.dim, :]
-    return range_basis(mapped, cfg)
+    if s1.dim == 0 or s2.dim == s2.ambient_dim:
+        return s1
+    cross = s2.complement.conj().T @ s1.basis
+    f = factor(cross, cfg)
+    k = int(np.count_nonzero(f.s > rank_threshold((1.0,), cross.shape, cfg)))
+    q = s1.basis @ f.vh.conj().T  # orthonormal: V is unitary
+    return _spanned(q[:, k:], np.hstack([q[:, :k], s1.complement]))
 
 
 def subspace_sum(s1, s2, cfg=DEFAULT_TOLERANCES):
-    """Span of the union, by rank-revealing orthonormalization of [Q1 | Q2]."""
-    _check_same_ambient(s1, s2)
-    stacked = np.hstack([s1.basis, s2.basis])
-    if stacked.shape[1] == 0:
-        return Subspace.trivial(s1.ambient_dim)
-    return range_basis(stacked, cfg)
-
-
-def complement_within(inner, outer, cfg=DEFAULT_TOLERANCES):
-    """Orthogonal complement of ``inner`` inside ``outer`` (inner ⊆ outer)."""
-    _check_same_ambient(inner, outer)
-    if outer.dim == 0:
-        return Subspace.trivial(outer.ambient_dim)
-    if inner.dim == 0:
-        return outer
-    coords = inner.basis.conj().T @ outer.basis  # inner expressed in outer's frame
-    free = kernel_basis(coords, cfg)
-    return Subspace(outer.ambient_dim, outer.basis @ free.basis)
+    """s1 + s2, by De Morgan: the complement of s2⊥ ∩ s1⊥, one cross matrix
+    Q1* s2.complement (see :func:`intersect`); it carries its complement."""
+    return _orth(intersect(_orth(s2), _orth(s1), cfg))
 
 
 def minimal_angle(s1, s2):
@@ -339,7 +338,7 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
 def _bouldin_angle(ns, rt, cfg):
     """:func:`bouldin_angle` from the subspaces N(s) and R(t)."""
     v = intersect(ns, rt, cfg)
-    w = complement_within(v, ns, cfg)
+    w = intersect(ns, _orth(v), cfg)  # the complement of V inside N(s)
     components = BouldinComponents(
         dim_kernel_range_intersection=v.dim, dim_deflated_kernel=w.dim
     )

@@ -124,20 +124,23 @@ def eigvalsh_calls(monkeypatch):
 
 # exact full-SVD counts of one cold call, one factorization per distinct
 # matrix: classify factors M; a product procedure factors A, B and AB (A and
-# A^2 for the squaring check); intersect and subspace_sum add their own
-# stacked bases; a block check factors Z, Y, B' and B; per
-# size the sweep factors A, B and AB and the Bouldin angle's intersection and
-# complement, both angles reading one N(A) and one R(B).
+# A^2 for the squaring check); intersect and subspace_sum add one cross
+# matrix each, none when the first space is {0} or the second the whole
+# space; a block check factors Z, Y, B' and the cold pair's B (not the
+# compressed U*BU), and on this pair (Y = Z = 0, B' invertible) its two
+# intersections add none; per size the sweep factors A, B and AB and the
+# cross matrices of the Bouldin angle's intersection and deflated kernel,
+# both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
     "classify": 1,
-    "hartwig_katz": 6,
-    "djordjevic_check": 6,
+    "hartwig_katz": 5,
+    "djordjevic_check": 5,
     "group_invertible_check": 2,
     "johnson_vinoth_check": 3,
-    "product_range_identity": 5,
-    "block_kernel_inclusions": 6,
+    "product_range_identity": 4,
+    "block_kernel_inclusions": 4,
     "posinormal_product_conditions": 2,
-    "sweep": 18,
+    "sweep": 15,
 }
 
 
@@ -203,22 +206,23 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
     full_svds, pair_files, capsys
 ):
     # A, B and AB (3) serve both Hartwig-Katz and Johnson-Vinoth, and
-    # Hartwig-Katz's intersect and subspace_sum add 3; Djordjevic gates the
+    # Hartwig-Katz's intersect and subspace_sum add 2; Djordjevic gates the
     # Hartwig-Katz report instead of factoring again
     full_svds.clear()
     assert main(["product", *pair_files]) == 0
     capsys.readouterr()
-    assert len(full_svds) == 6
+    assert len(full_svds) == 5
 
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
     # A (1), the product conditions' B' and Z (2), and the kernel
-    # inclusions' Y, its two intersections and B (4)
+    # inclusions' Y and B (2); with Y = Z = 0 and B' invertible its two
+    # intersections factor nothing
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
     capsys.readouterr()
-    assert len(full_svds) == 7
+    assert len(full_svds) == 5
     assert len(eigvalsh_calls) == 0
 
 
@@ -230,9 +234,10 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
 
 
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):
-    # Hartwig-Katz factors A, B and AB (3) plus its intersect and sum (3);
+    # Hartwig-Katz factors A, B and AB (3) plus its intersect and sum (2);
     # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
-    # the inclusions reuse the conditions' snapped B' and Z and the pair's B
+    # the inclusions reuse the conditions' snapped B' and Z and the pair's B,
+    # and factor Y
     a, b = random_commuting_ep_pair(6, 4, 2)
     counts = []
 
@@ -248,7 +253,7 @@ def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     dec = count(lambda: decompose_pair(a, b))
     count(lambda: posinormal_product_conditions(dec))
     count(lambda: block_kernel_inclusions(dec))
-    assert counts == [6, 0, 0, 0, 2, 3]
+    assert counts == [5, 0, 0, 0, 2, 1]
 
 
 PAIR_PROCEDURES = {

@@ -8,13 +8,12 @@ from eplab import (
     block_kernel_inclusions,
     classify,
     decompose_pair,
-    embed_core,
     posinormal_product_conditions,
     random_commuting_ep_pair,
     random_ep,
     random_same_kernel_pair,
 )
-from eplab.structure import _block_scales, _snap_block
+from eplab.structure import _block_scales, _snap_block, embed_core
 
 
 class TestDecompose:

@@ -358,3 +358,114 @@ class TestComplementResidual:
                     assert calls == []
                 else:
                     assert calls == [((n - s2.dim, s1.dim), False)]
+
+
+def _stacked_intersect(s1, s2):
+    """The null space of the stacked basis [Q1 | -Q2] mapped through Q1 and
+    orthonormalized, as an oracle."""
+    if s1.dim == 0 or s2.dim == 0:
+        return Subspace.trivial(s1.ambient_dim)
+    null = kernel_basis(np.hstack([s1.basis, -s2.basis]))
+    if null.dim == 0:
+        return Subspace.trivial(s1.ambient_dim)
+    return range_basis(s1.basis @ null.basis[: s1.dim, :])
+
+
+def _stacked_sum(s1, s2):
+    """The range of the stacked basis [Q1 | Q2], as an oracle."""
+    stacked = np.hstack([s1.basis, s2.basis])
+    if stacked.shape[1] == 0:
+        return Subspace.trivial(s1.ambient_dim)
+    return range_basis(stacked)
+
+
+def _assert_unitary_split(s):
+    """[basis | complement] of ``s`` is unitary within 1e-12."""
+    u = np.hstack([s.basis, s.complement])
+    assert u.shape == (s.ambient_dim, s.ambient_dim)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(s.ambient_dim)) <= 1e-12
+
+
+def _assert_lattice_matches_stacked(s1, s2):
+    for got, want in (
+        (intersect(s1, s2), _stacked_intersect(s1, s2)),
+        (subspace_sum(s1, s2), _stacked_sum(s1, s2)),
+    ):
+        assert got.dim == want.dim
+        assert equality_residual(got, want) <= 1e-12
+        _assert_unitary_split(got)
+
+
+class TestLatticeFromTheCrossMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_stacked_bases_at_every_dimension(self, n):
+        rng = np.random.default_rng(900 + n)
+        for k1 in range(n + 1):
+            g1 = _gaussian(rng, n, k1)
+            s1 = _factored(rng, g1)
+            for k2 in range(n + 1):
+                # a random k2-space, and one holding s1 whenever k2 >= k1
+                extra = _gaussian(rng, n, max(0, k2 - k1))
+                for s2 in (_factored(rng, _gaussian(rng, n, k2)),
+                           _factored(rng, np.hstack([g1, extra])) if k2 >= k1 else None):
+                    if s2 is None:
+                        continue
+                    _assert_lattice_matches_stacked(s1, s2)
+                    _assert_lattice_matches_stacked(s2, s1)
+
+    def test_matches_stacked_bases_at_n96(self):
+        # nested ranges R(G[:, :k] H) for one G, and k-spaces in general
+        # position, in both orders
+        n = 96
+        rng = np.random.default_rng(996)
+        g = _gaussian(rng, n, n)
+        fs = [factor(g[:, :k] @ _gaussian(rng, k, n)) for k in range(n + 1)]
+        for k in range(0, n + 1, 4):
+            for s2 in (fs[min(n, k + 5)].range, fs[k // 2].corange):
+                _assert_lattice_matches_stacked(fs[k].range, s2)
+                _assert_lattice_matches_stacked(s2, fs[k].range)
+
+    def test_user_bases_get_a_unitary_split(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 7):
+            q, _ = np.linalg.qr(_gaussian(rng, n, n))
+            for k1 in range(n + 1):
+                for k2 in range(n + 1):
+                    # nested when they share q, random otherwise
+                    for s2 in (Subspace(n, q[:, :k2]), random_subspace(rng, n, k2)):
+                        _assert_lattice_matches_stacked(Subspace(n, q[:, :k1]), s2)
+
+    def test_a_space_meets_and_joins_itself_at_n96(self):
+        # every sine of s against s is roundoff: decided against the largest
+        # sine, most of s would be lost
+        n = 96
+        rng = np.random.default_rng(97)
+        g = _gaussian(rng, n, n)
+        for k in (1, 3, 17, 48, 95, 96):
+            f = factor(g[:, :k] @ _gaussian(rng, k, n))
+            for s in (f.range, f.kernel, f.corange, f.cokernel):
+                for got in (intersect(s, s), subspace_sum(s, s)):
+                    assert got.dim == s.dim
+                    assert equality_residual(got, s) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_full_svd_of_the_cross_matrix_per_operation(self, n, monkeypatch):
+        rng = np.random.default_rng(22)
+        spaces = [_factored(rng, _gaussian(rng, n, k)) for k in range(n + 1)]
+        calls = []
+        svd = np.linalg.svd
+
+        def recording_svd(m, *args, **kwargs):
+            calls.append((np.shape(m), kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for s1 in spaces:
+            for s2 in spaces:
+                trivial = s1.dim == 0 or s2.dim == n
+                calls.clear()
+                intersect(s1, s2)
+                assert calls == ([] if trivial else [((n - s2.dim, s1.dim), True)])
+                calls.clear()
+                subspace_sum(s1, s2)
+                assert calls == ([] if trivial else [((s1.dim, n - s2.dim), True)])
