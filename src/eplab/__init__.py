@@ -40,13 +40,7 @@ from .subspaces import (
     range_basis,
     subspace_sum,
 )
-from .predicates import (
-    ClassificationReport,
-    classify,
-    ep_via_projectors,
-    hypo_ep_check,
-    is_ep,
-)
+from .predicates import ClassificationReport, classify, is_ep
 from .structure import (
     BlockDecomposition,
     InclusionReport,

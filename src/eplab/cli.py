@@ -189,6 +189,8 @@ def cmd_truncate(args, cfg):
 
 def cmd_catalog(args, cfg):
     if args.name is None:
+        if args.emit:
+            raise InputError("--emit needs a catalog name")
         return {}, {"names": catalog_names()}, ()
     pair = catalog(args.name)
     result = {

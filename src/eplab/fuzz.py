@@ -57,7 +57,6 @@ class FuzzOutcome:
     trials: int
     dims: tuple
     seed: int
-    jobs: int
     checks: int
     violations: tuple
 
@@ -70,7 +69,7 @@ def _pick_dim(rng, dims):
     return int(dims[int(rng.integers(0, len(dims)))])
 
 
-def _mixed_square(rng, n, cfg):
+def _mixed_square(rng, n):
     """Random square matrix mixing invertible, EP, generic rank-deficient,
     and nilpotent draws so both truth values of each predicate occur."""
     kind = int(rng.integers(0, 4))
@@ -100,7 +99,7 @@ def _t_hartwig_katz(rng, dims, cfg):
 
 def _t_group_invertible(rng, dims, cfg):
     n = _pick_dim(rng, dims)
-    a = _mixed_square(rng, n, cfg)
+    a = _mixed_square(rng, n)
     report = group_invertible_check(a, cfg)
     violations = []
     if not (report.kernel_stable == report.range_stable == report.rank_stable):
@@ -164,7 +163,7 @@ def _t_commuting_ep(rng, dims, cfg):
                 },
             )
         )
-    # classify's EP flag and residual are is_ep's: the same _ep_residual of AB
+    # classify's EP flag and residual are is_ep's: the same ep_residual of AB
     ep_ab, res_ab = report.ep, report.residuals["ep_equality"]
     ep_ba, res_ba = is_ep(ba, cfg)
     if ep_ab != ep_ba:
@@ -225,7 +224,7 @@ def _t_block_kernels(rng, dims, cfg):
 
 def _t_collapse(rng, dims, cfg):
     n = _pick_dim(rng, dims)
-    m = _mixed_square(rng, n, cfg)
+    m = _mixed_square(rng, n)
     report = classify(m, cfg)
     violations = []
     flags = (report.quasiposinormal, report.posinormal, report.hypo_ep, report.ep)
@@ -246,8 +245,8 @@ def _t_collapse(rng, dims, cfg):
         violations.append(
             ("hyponormal_normal", {"commutator": report.residuals["commutator"]})
         )
-    # classify's projector commutator and hypo-EP flag are exactly what
-    # ep_via_projectors and hypo_ep_check compute
+    # the projector route to EP: classify's projector commutator residual
+    # under subspace_tol, which hypo-EP must agree with
     res_proj = report.residuals["projector_commutator"]
     ep_proj = within(res_proj, cfg.subspace_tol, "projector_commutator")
     if report.hypo_ep != ep_proj and not report.conflicts:
@@ -337,7 +336,6 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
         trials=trials,
         dims=dims,
         seed=int(seed),
-        jobs=jobs,
         checks=checks,
         violations=tuple(violations),
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
 from .kernel import numerical_rank, require_square
-from .predicates import _ep_residual, is_ep
+from .predicates import is_ep
 from .subspaces import (
     Subspace,
     _bouldin_angle,
@@ -179,7 +179,7 @@ def random_johnson_vinoth_pair(a, seed=None, cond_cap=1e4):
     """
     a = require_square(a)
     f = factor(a)
-    residual = _ep_residual(f)
+    residual = f.ep_residual
     if not within(residual, DEFAULT_TOLERANCES.subspace_tol, "ep residual"):
         raise InapplicableError(f"input must be EP (residual {residual:.3e})")
     rng = _rng(seed)

@@ -7,12 +7,12 @@ Residuals are normalized by powers of the spectral norm, so classify(c*M)
 agrees with classify(M) for any nonzero scalar c.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
-from .kernel import RankDecision, psd_check, psd_spectrum, require_square
+from .kernel import RankDecision, psd_check, require_square
 from .subspaces import _spanned, equality_residual, factor, inclusion_residual
 
 # the eight predicate flags of a ClassificationReport, in report order
@@ -35,61 +35,17 @@ class ClassificationReport:
     residuals: dict
     rank: RankDecision
     tolerances: ToleranceConfig
-    conflicts: list = field(default_factory=list)
-
-
-def _projector_commutator(f):
-    """m_pinv m - m m_pinv, from the factorization ``f`` of ``m``."""
-    return f.pinv @ f.m - f.m @ f.pinv
-
-
-def _hypo_ep(d, cfg):
-    """PSD test of the projector commutator ``d``: ``(flag, smallest
-    eigenvalue)`` of its Hermitian part, which absorbs matmul roundoff."""
-    return psd_spectrum(0.5 * (d + d.conj().T), cfg)
-
-
-def ep_via_projectors(m, cfg=DEFAULT_TOLERANCES):
-    """Projector route for the EP test: does m commute with its pseudoinverse?
-
-    Returns ``(flag, residual)`` with residual = ||m_pinv m - m m_pinv||.
-    """
-    m = require_square(m)
-    residual = float(np.linalg.norm(_projector_commutator(factor(m, cfg))))
-    return within(residual, cfg.subspace_tol, "projector_commutator"), residual
-
-
-def hypo_ep_check(m, cfg=DEFAULT_TOLERANCES):
-    """PSD route: m_pinv m - m m_pinv positive semidefinite."""
-    m = require_square(m)
-    return _hypo_ep(_projector_commutator(factor(m, cfg)), cfg)[0]
+    conflicts: list
 
 
 def classify(m, cfg=DEFAULT_TOLERANCES):
     """Full predicate battery for one square matrix."""
-    m = require_square(m)
-
-    f = factor(m, cfg)
-    scale = float(f.s[0]) if f.s.size else 0.0
-
-    if scale == 0.0:
-        # the zero matrix has every property, and every residual is 0
-        residuals = dict.fromkeys((
-            "commutator", "posinormal_inclusion", "coposinormal_inclusion",
-            "quasiposinormal_inclusion", "ep_equality", "projector_commutator",
-            "ep_r_equality", "hypo_ep_min_eigenvalue",
-        ), 0.0)
-        return ClassificationReport(
-            **dict.fromkeys(FLAG_NAMES, True),
-            residuals=residuals, rank=f.decision, tolerances=cfg,
-        )
-
+    f = factor(require_square(m), cfg)
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    d = _projector_commutator(f)
-    hypo_ep, min_eig = _hypo_ep(d, cfg)
+    hypo_ep, min_eig = f.hypo_ep(cfg)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
     ker_t = _spanned(f.cokernel.basis.conj(), f.range.basis.conj())
 
@@ -98,12 +54,12 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "posinormal_inclusion": r_pos,
         "coposinormal_inclusion": r_copos,
         "quasiposinormal_inclusion": inclusion_residual(f.kernel, f.cokernel),
-        "ep_equality": max(r_pos, r_copos),
-        "projector_commutator": float(np.linalg.norm(d)),
+        "ep_equality": f.ep_residual,
+        "projector_commutator": float(np.linalg.norm(f.projector_commutator)),
         "ep_r_equality": equality_residual(f.kernel, ker_t),
     }
     gate = within_each(residuals, cfg.subspace_tol)
-    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol in _hypo_ep
+    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol in f.hypo_ep
     posinormal, ep = gate["posinormal_inclusion"], gate["ep_equality"]
     ep_proj = gate["projector_commutator"]
 
@@ -136,16 +92,11 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def _ep_residual(f):
-    """EP residual of a factorization: R(m) against R(m*)."""
-    return max(f.posinormal_residual, f.coposinormal_residual)
-
-
 def is_ep(m, cfg=DEFAULT_TOLERANCES):
     """Fast EP test from a single SVD: R(m) equals R(m*).
 
     Returns ``(flag, residual)``; used by the procedures where the
     full report would be wasteful.
     """
-    residual = _ep_residual(factor(require_square(m), cfg))
+    residual = factor(require_square(m), cfg).ep_residual
     return within(residual, cfg.subspace_tol, "ep residual"), residual

@@ -15,7 +15,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
 from .kernel import require_square
-from .predicates import _ep_residual, _hypo_ep, _projector_commutator
 from .subspaces import (
     equality_residual,
     factor,
@@ -91,9 +90,9 @@ def _product_report(pair):
     residuals = {
         "cond_i": shared["hypothesis"],
         "cond_ii": inclusion_residual(fa.kernel, fab.kernel),
-        "a_ep": _ep_residual(fa),
-        "b_ep": _ep_residual(fb),
-        "ab_ep": _ep_residual(fab),
+        "a_ep": fa.ep_residual,
+        "b_ep": fb.ep_residual,
+        "ab_ep": fab.ep_residual,
         "range_identity": shared["conclusion"],
         "kernel_identity": equality_residual(
             fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
@@ -164,7 +163,7 @@ def _johnson_vinoth(pair):
     }
     return JohnsonVinothReport(
         **within_each(residuals, pair.cfg.subspace_tol),
-        ab_hypo_ep=_hypo_ep(_projector_commutator(pair.fab), pair.cfg)[0],
+        ab_hypo_ep=pair.fab.hypo_ep(pair.cfg)[0],
         residuals=residuals,
     )
 
@@ -180,9 +179,9 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
     f = factor(a, cfg)
-    residuals = [_ep_residual(f)]
+    residuals = [f.ep_residual]
     power = f.unit
     for _ in range(int(n) - 1):
         power = power @ f.unit
-        residuals.append(_ep_residual(factor(power, cfg)))
+        residuals.append(factor(power, cfg).ep_residual)
     return [within(r, cfg.subspace_tol, "ep residual") for r in residuals]

@@ -22,7 +22,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
-    RankDecision, as_matrix, decide_rank, rank_threshold, require_pair, require_square
+    RankDecision, as_matrix, decide_rank, psd_spectrum, rank_threshold, require_pair,
+    require_square,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +126,22 @@ class Factorization:
     def coposinormal_residual(self):
         """Residual of R(m*) inside R(m), computed once."""
         return inclusion_residual(self.corange, self.range)
+
+    @cached_property
+    def ep_residual(self):
+        """Residual of R(m) = R(m*): the larger of the two above."""
+        return max(self.posinormal_residual, self.coposinormal_residual)
+
+    @cached_property
+    def projector_commutator(self):
+        """``pinv @ m - m @ pinv``: zero exactly when m is EP."""
+        return self.pinv @ self.m - self.m @ self.pinv
+
+    def hypo_ep(self, cfg):
+        """PSD test of the projector commutator: ``(flag, smallest
+        eigenvalue)`` of its Hermitian part, which absorbs matmul roundoff."""
+        d = self.projector_commutator
+        return psd_spectrum(0.5 * (d + d.conj().T), cfg)
 
     @cached_property
     def unit(self):

@@ -228,6 +228,14 @@ class TestCatalogCommand:
         code, doc_b, _ = run_json(capsys, "classify", file_b)
         assert doc_b["result"]["flags"]["normal"] is True
 
+    def test_emit_without_name_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "emitted"
+        code, out, err = run_cli(capsys, "catalog", "--emit", "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "--emit" in err
+        assert not out_dir.exists()
+
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "missing")
         assert code == 2

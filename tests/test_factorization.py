@@ -62,6 +62,9 @@ class TestViews:
     def test_views_are_built_once(self):
         f = factor(_mixed(2))
         assert f.range is f.range and f.kernel is f.kernel and f.pinv is f.pinv
+        assert f.projector_commutator is f.projector_commutator
+        assert f.ep_residual == max(f.posinormal_residual, f.coposinormal_residual)
+        assert "ep_residual" in vars(f)  # kept on first use
 
     def test_pinv_matches_numpy(self):
         m = _mixed(3)
@@ -166,7 +169,7 @@ def test_full_svd_count(name, full_svds, forget_pair):
 
 
 # exact eigvalsh counts: classify decides hyponormal and hypo-EP with one
-# eigensolve each and skips both for a zero matrix; power_ep, the block
+# eigensolve each, a nonempty zero matrix included; power_ep, the block
 # checks and the truncation sweep read range inclusions from factorizations.
 EIGVALSH_COUNTS = {
     "classify": 2,

@@ -52,6 +52,7 @@ def test_parallel_matches_sequential():
     par = run_suite("hartwig_katz", 40, dims=range(2, 7), seed=5, jobs=2)
     assert seq.checks == par.checks
     assert seq.violations == par.violations
+    assert vars(seq) == vars(par)  # the outcome does not record the schedule
 
 
 def test_outcome_is_order_independent_of_dims_container():

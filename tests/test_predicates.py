@@ -4,9 +4,7 @@ import pytest
 from eplab import (
     InputError,
     classify,
-    ep_via_projectors,
     equals,
-    hypo_ep_check,
     kernel_basis,
     random_ep,
 )
@@ -28,6 +26,13 @@ def all_flags(report):
         "hypo_ep": report.hypo_ep,
         "ep_r": report.ep_r,
     }
+
+
+def projector_route(report):
+    """classify's projector route to EP: ``(flag, residual)``, the
+    projector commutator's norm against ``subspace_tol``."""
+    residual = report.residuals["projector_commutator"]
+    return residual <= report.tolerances.subspace_tol, residual
 
 
 class TestClassifyExamples:
@@ -52,10 +57,13 @@ class TestClassifyExamples:
         assert all(all_flags(report).values())
         assert report.conflicts == []
 
-    def test_zero_matrix_all_true(self):
-        report = classify(np.zeros((3, 3)))
+    @pytest.mark.parametrize("n", range(5))
+    def test_zero_matrix_all_true(self, n):
+        report = classify(np.zeros((n, n)))
         assert all(all_flags(report).values())
         assert report.rank.rank == 0
+        assert report.residuals == dict.fromkeys(report.residuals, 0.0)
+        assert report.conflicts == []
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
@@ -88,27 +96,27 @@ class TestClassifyExamples:
 
 class TestProjectorRoute:
     def test_orthogonal_projection(self):
-        flag, residual = ep_via_projectors(P)
+        flag, residual = projector_route(classify(P))
         assert flag is True
         assert residual <= 1e-12
 
     def test_jordan_block_projectors(self):
         # pinv of the block is its adjoint: the two projectors are diag(0,1)
         # and diag(1,0), which differ
-        flag, residual = ep_via_projectors(JORDAN)
+        flag, residual = projector_route(classify(JORDAN))
         assert flag is False
         assert residual == pytest.approx(np.sqrt(2.0))
 
     def test_invertible_always_passes(self):
         rng = np.random.default_rng(12)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        flag, _ = ep_via_projectors(m)
+        flag, _ = projector_route(classify(m))
         assert flag is True
 
 
 class TestHypoEp:
     def test_identity(self):
-        assert hypo_ep_check(np.eye(2)) is True
+        assert classify(np.eye(2)).hypo_ep is True
 
     def test_projection_first_product_is_indefinite(self):
         # oracle: D = pinv(PG) PG - PG pinv(PG) has trace 0 and nonzero norm,
@@ -118,10 +126,10 @@ class TestHypoEp:
         d = mp @ pg - pg @ mp
         assert abs(np.trace(d)) <= 1e-12
         assert np.linalg.norm(d) > 0.1
-        assert hypo_ep_check(pg) is False
+        assert classify(pg).hypo_ep is False
 
     def test_shear_first_product(self):
-        assert hypo_ep_check(G @ P) is True
+        assert classify(G @ P).hypo_ep is True
 
 
 class TestFiniteDimensionalCollapse:
@@ -143,7 +151,7 @@ class TestFiniteDimensionalCollapse:
         flags = {report.quasiposinormal, report.posinormal, report.hypo_ep, report.ep}
         assert len(flags) == 1
         assert report.hyponormal == report.normal
-        assert hypo_ep_check(m) == ep_via_projectors(m)[0]
+        assert report.hypo_ep == projector_route(report)[0]
         assert report.conflicts == []
 
     @pytest.mark.parametrize("seed", range(8))
