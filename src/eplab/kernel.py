@@ -2,7 +2,9 @@
 
 Every downstream predicate is built on the single rank policy implemented
 here: singular values above ``rank_multiplier * eps * max(m, n) * sigma_max``
-count toward the rank, everything at or below does not.  The one
+count toward the rank, everything at or below does not.  A product or power
+of unit-scaled factors is decided against its unit scale in place of
+``sigma_max``.  The one
 :class:`RankDecision` of a matrix's factorization
 (:class:`eplab.subspaces.Factorization`) is threaded through its
 range/kernel/pseudoinverse, which keeps all of them consistent.
@@ -61,9 +63,12 @@ def rank_threshold(singular_values, shape, cfg=DEFAULT_TOLERANCES):
     return cfg.rank_multiplier * _EPS * max(shape) * sigma_max
 
 
-def decide_rank(singular_values, shape, cfg=DEFAULT_TOLERANCES):
+def decide_rank(singular_values, shape, cfg=DEFAULT_TOLERANCES, scale=None):
+    """Rank decision on ``singular_values``, against the largest of them or,
+    when ``scale`` is given, against that scale (see :func:`factor
+    <eplab.subspaces.factor>`)."""
     s = np.asarray(singular_values, dtype=np.float64)
-    tol = rank_threshold(s, shape, cfg)
+    tol = rank_threshold(s if scale is None else (scale,), shape, cfg)
     rank = int(np.count_nonzero(s > tol))
     return RankDecision(rank=rank, singular_values=s, threshold=tol)
 
@@ -76,28 +81,48 @@ def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
     return decide_rank(s, m.shape, cfg)
 
 
-def psd_spectrum(h, cfg=DEFAULT_TOLERANCES):
-    """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
-    flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
-
-    ``h`` must be Hermitian to within ``psd_tol * (1 + ||h||)`` in Frobenius
-    norm; anything farther from Hermitian is an input error rather than a
-    silent False.  The empty matrix gives ``(True, 0.0)``.
-    """
+def _psd_form(h, cfg):
+    """The Hermitian part of square ``h`` and the PSD bound
+    ``psd_tol * (1 + ||h||)``; raises InputError when ``h`` is farther than
+    that bound from Hermitian in Frobenius norm."""
     h = require_square(h, "psd_check input")
-    if h.size == 0:
-        return True, 0.0
+    h_adj = h.conj().T
     bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(h)))
-    defect = float(np.linalg.norm(h - h.conj().T))
+    defect = float(np.linalg.norm(h - h_adj))
     if not within(defect, bound, "Hermitian defect"):
         raise InputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
-    smallest = float(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[0])
+    return 0.5 * (h + h_adj), bound
+
+
+def psd_spectrum(h, cfg=DEFAULT_TOLERANCES):
+    """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
+    flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
+
+    One eigvalsh, for a report that shows the eigenvalue; a flag alone is
+    :func:`psd_check`.  ``h`` must be Hermitian to within
+    ``psd_tol * (1 + ||h||)`` in Frobenius norm; anything farther from
+    Hermitian is an input error rather than a silent False.  The empty
+    matrix gives ``(True, 0.0)``.
+    """
+    herm, bound = _psd_form(h, cfg)
+    if herm.size == 0:
+        return True, 0.0
+    smallest = float(np.linalg.eigvalsh(herm)[0])
     return within(-smallest, bound, "smallest eigenvalue"), smallest
 
 
 def psd_check(h, cfg=DEFAULT_TOLERANCES):
-    """True iff ``h`` is positive semidefinite within tolerance
-    (see :func:`psd_spectrum`)."""
-    return psd_spectrum(h, cfg)[0]
+    """True iff ``h`` is positive semidefinite within tolerance: the flag of
+    :func:`psd_spectrum`, with the same bound and the same Hermitian-defect
+    error, decided by one Cholesky factorization of the Hermitian part plus
+    ``bound * I``, which exists exactly when the smallest eigenvalue is
+    above ``-bound``."""
+    herm, bound = _psd_form(h, cfg)
+    herm.flat[:: len(herm) + 1] += bound  # herm + bound * I, in place
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    return True

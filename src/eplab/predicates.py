@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
-from .kernel import RankDecision, psd_check, require_square
+from .kernel import RankDecision, psd_check, psd_spectrum, require_square
 from .subspaces import _spanned, equality_residual, factor, inclusion_residual
 
 # the eight predicate flags of a ClassificationReport, in report order
@@ -45,7 +45,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep, min_eig = f.hypo_ep(cfg)
+    hypo_ep, min_eig = f.hypo_ep(cfg, psd_spectrum)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
     ker_t = _spanned(f.cokernel.basis.conj(), f.range.basis.conj())
 

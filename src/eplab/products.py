@@ -128,10 +128,12 @@ def djordjevic_check(a, b, cfg=DEFAULT_TOLERANCES):
 
 
 def group_invertible_check(a, cfg=DEFAULT_TOLERANCES):
-    """Rank stability under squaring, decided three equivalent ways."""
+    """Rank stability under squaring, decided three equivalent ways; the
+    square of A's unit-scaled form has its rank decided against 1, so a
+    nilpotent A ≠ 0 is not rank stable."""
     a = require_square(a)
     fa = factor(a, cfg)
-    fa2 = factor(fa.unit @ fa.unit, cfg)
+    fa2 = factor(fa.unit @ fa.unit, cfg, 1.0)
     residuals = {
         "kernel_stable": equality_residual(fa2.kernel, fa.kernel),
         "range_stable": equality_residual(fa2.range, fa.range),
@@ -163,7 +165,7 @@ def _johnson_vinoth(pair):
     }
     return JohnsonVinothReport(
         **within_each(residuals, pair.cfg.subspace_tol),
-        ab_hypo_ep=pair.fab.hypo_ep(pair.cfg)[0],
+        ab_hypo_ep=pair.fab.hypo_ep(pair.cfg),
         residuals=residuals,
     )
 
@@ -174,7 +176,9 @@ def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
 
 
 def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
-    """EP flags for a, a^2, ..., a^n, decided power by power."""
+    """EP flags for a, a^2, ..., a^n, decided power by power; each power of
+    A's unit-scaled form has its rank decided against 1, so a power that
+    vanishes is the zero matrix, which is EP."""
     a = require_square(a)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
@@ -183,5 +187,5 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     power = f.unit
     for _ in range(int(n) - 1):
         power = power @ f.unit
-        residuals.append(factor(power, cfg).ep_residual)
+        residuals.append(factor(power, cfg, 1.0).ep_residual)
     return [within(r, cfg.subspace_tol, "ep residual") for r in residuals]

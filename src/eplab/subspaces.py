@@ -3,7 +3,9 @@
 Subspaces are carried as matrices with orthonormal columns, each with an
 orthonormal basis of its orthogonal complement.  A matrix's range,
 corange, kernel, cokernel and pseudoinverse all come from one
-:class:`Factorization`, its full SVD under the shared rank decision.
+:class:`Factorization`, its full SVD under the shared rank decision; a
+pair's product is factored from its operands' factors and the SVD of
+their r_a×r_b core, and decided against its unit scale.
 Subspaces are compared through one cross matrix, s2's complement* Q1,
 whose singular values are the sines of the principal angles of s1 against
 s2 (Björck-Golub).  Inclusion and equality read the largest sine, never
@@ -22,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
-    RankDecision, as_matrix, decide_rank, psd_spectrum, rank_threshold, require_pair,
+    RankDecision, as_matrix, decide_rank, psd_check, rank_threshold, require_pair,
     require_square,
 )
 
@@ -137,11 +139,14 @@ class Factorization:
         """``pinv @ m - m @ pinv``: zero exactly when m is EP."""
         return self.pinv @ self.m - self.m @ self.pinv
 
-    def hypo_ep(self, cfg):
-        """PSD test of the projector commutator: ``(flag, smallest
-        eigenvalue)`` of its Hermitian part, which absorbs matmul roundoff."""
+    def hypo_ep(self, cfg, test=psd_check):
+        """Is m hypo-EP, its projector commutator PSD?  ``test`` of the
+        commutator's Hermitian part, which absorbs matmul roundoff:
+        :func:`~eplab.kernel.psd_check` gives the flag from one Cholesky,
+        :func:`~eplab.kernel.psd_spectrum` the flag and the smallest
+        eigenvalue, for a report that shows it."""
         d = self.projector_commutator
-        return psd_spectrum(0.5 * (d + d.conj().T), cfg)
+        return test(0.5 * (d + d.conj().T), cfg)
 
     @cached_property
     def unit(self):
@@ -155,21 +160,55 @@ class Factorization:
         return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
 
 
-def factor(m, cfg=DEFAULT_TOLERANCES):
+def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     """The :class:`Factorization` of ``m``: the one full SVD every range,
-    kernel and pseudoinverse of ``m`` is read from."""
+    kernel and pseudoinverse of ``m`` is read from.
+
+    Its rank is decided against ``m``'s largest singular value or, when
+    ``scale`` is given, against that scale.  A product or power of
+    unit-scaled factors passes 1.0: its rounding error is of order eps
+    times the product of the factors' norms (Higham, §3.5), so a product
+    it cannot tell from 0 is decided as 0.  The trade-off: a product with
+    ‖AB‖₂ at or below ``rank_multiplier * eps * n * ‖A‖₂‖B‖₂`` (about
+    1e-13·‖A‖‖B‖ at n = 8) has rank 0.
+    """
     m = as_matrix(m)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg))
+    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
+
+
+def _factor_product(fa, fb, cfg):
+    """The :class:`Factorization` of ``fa.unit @ fb.unit``, decided against
+    1, from the operands' own factors and one SVD of the r_a×r_b core.
+
+    With A = Ua_r Sa Va_r* and B = Ub_r Sb Vb_r* (unit-scaled, truncated at
+    their ranks) the product is Ua_r C Vb_r* for C = Sa (Va_r* Ub_r) Sb.  If
+    C = P S Q*, then u = [Ua_r P | Ua⊥] and vh = [Q* Vb_r* ; Vb⊥*] are
+    unitary, s is S padded with zeros, and R(AB) ⊆ R(A), N(B) ⊆ N(AB) hold
+    by construction.  No SVD is made when either rank is 0.
+    """
+    ra, rb = fa.rank, fb.rank
+    u, vh = fa.u.copy(), fb.vh.copy()
+    s = np.zeros(len(u))
+    if ra and rb:
+        core = (fa.s[:ra, None] / fa.s[0]) * (fa.vh[:ra] @ fb.u[:, :rb])
+        p, s_core, qh = np.linalg.svd(core * (fb.s[:rb] / fb.s[0]))
+        np.matmul(fa.u[:, :ra], p, out=u[:, :ra])
+        np.matmul(qh, fb.vh[:rb], out=vh[:rb])
+        s[: s_core.size] = s_core
+    m = fa.unit @ fb.unit
+    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class FactoredPair:
     """A validated square pair (A, B) under one tolerance config, with
     read-only copies of the operands.  The factorizations ``fa``, ``fb`` and
-    ``fab`` (of the product of the unit-scaled operands: AB up to a positive
-    scalar, so every range, kernel and EP fact of AB), and each report
-    :meth:`report` builds from them, are made on first use and kept.
+    ``fab``, and each report :meth:`report` builds from them, are made on
+    first use and kept.  ``fab`` factors the product of the unit-scaled
+    operands (AB up to a positive scalar, so every range, kernel and EP fact
+    of AB) from ``fa`` and ``fb`` and the SVD of their r_a×r_b core, and
+    decides its rank against 1, the unit scale of the product.
     """
 
     a: np.ndarray
@@ -179,7 +218,7 @@ class FactoredPair:
 
     fa = cached_property(lambda self: factor(self.a, self.cfg))
     fb = cached_property(lambda self: factor(self.b, self.cfg))
-    fab = cached_property(lambda self: factor(self.fa.unit @ self.fb.unit, self.cfg))
+    fab = cached_property(lambda self: _factor_product(self.fa, self.fb, self.cfg))
 
     def report(self, build):
         """``build(self)``, built on the first request and kept; each call

@@ -24,6 +24,7 @@ from eplab import (
     random_ep,
     random_johnson_vinoth_pair,
     random_same_kernel_pair,
+    random_unitary,
     sweep,
     write_matrix,
 )
@@ -83,6 +84,57 @@ class TestViews:
         assert equality_residual(kernel_basis(m.T), Subspace(5, coker.basis.conj())) < 1e-10
 
 
+def _of_rank(rng, n, r):
+    """n x n of rank r with singular values in [1, 2] and Haar bases."""
+    u, v = random_unitary(n, rng), random_unitary(n, rng)
+    return (u[:, :r] * rng.uniform(1.0, 2.0, r)) @ v[:, :r].conj().T
+
+
+def _product_defects(a, b):
+    """How far the pair's product factorization is from factor() of the
+    product at unit scale: rank difference, range and kernel equality
+    residuals, unitarity of u and vh, and reconstruction of m."""
+    pair = subspaces.factor_pair(a, b)
+    fab = pair.fab
+    ref = factor(pair.fa.unit @ pair.fb.unit, pair.cfg, 1.0)
+    n, r = len(a), fab.rank
+    return (
+        fab.rank - ref.rank,
+        equality_residual(fab.range, ref.range),
+        equality_residual(fab.kernel, ref.kernel),
+        np.linalg.norm(fab.u.conj().T @ fab.u - np.eye(n)),
+        np.linalg.norm(fab.vh @ fab.vh.conj().T - np.eye(n)),
+        np.linalg.norm((fab.u[:, :r] * fab.s[:r]) @ fab.vh[:r] - fab.m),
+    )
+
+
+class TestProductFactorization:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_rank_pair_matches_the_product_factorization(self, n):
+        rng = np.random.default_rng(300 + n)
+        for ra in range(n + 1):
+            for rb in range(n + 1):
+                a, b = _of_rank(rng, n, ra), _of_rank(rng, n, rb)
+                rank_gap, *defects = _product_defects(a, b)
+                assert rank_gap == 0, (ra, rb)
+                assert max(defects) <= 1e-12, (ra, rb, defects)
+
+    def test_large_pair_matches_the_product_factorization(self):
+        rng = np.random.default_rng(396)
+        a, b = _of_rank(rng, 96, 48), _of_rank(rng, 96, 40)
+        rank_gap, *defects = _product_defects(a, b)
+        assert rank_gap == 0
+        assert max(defects) <= 1e-12
+
+    def test_no_svd_when_an_operand_is_zero(self, full_svds):
+        a = _of_rank(np.random.default_rng(7), 5, 3)
+        for pair in ((a, np.zeros((5, 5))), (np.zeros((5, 5)), a)):
+            full_svds.clear()
+            fab = subspaces.factor_pair(*pair).fab
+            assert full_svds == [(5, 5), (5, 5)]  # A and 0, no core
+            assert fab.rank == 0
+
+
 @pytest.fixture(autouse=True)
 def forget_pair():
     """Empties the one-entry pair memo before and after each test, so a
@@ -126,14 +178,15 @@ def eigvalsh_calls(monkeypatch):
 
 
 # exact full-SVD counts of one cold call, one factorization per distinct
-# matrix: classify factors M; a product procedure factors A, B and AB (A and
-# A^2 for the squaring check); intersect and subspace_sum add one cross
-# matrix each, none when the first space is {0} or the second the whole
-# space; a block check factors Z, Y, B' and the cold pair's B (not the
-# compressed U*BU), and on this pair (Y = Z = 0, B' invertible) its two
-# intersections add none; per size the sweep factors A, B and AB and the
-# cross matrices of the Bouldin angle's intersection and deflated kernel,
-# both angles reading one N(A) and one R(B).
+# matrix: classify factors M; a product procedure factors A, B and AB (AB
+# through the r_a x r_b core of their factors; A and A^2 for the squaring
+# check); intersect and subspace_sum add one cross matrix each, none when
+# the first space is {0} or the second the whole space; a block check
+# factors Z, Y, B' and the cold pair's B (not the compressed U*BU), and on
+# this pair (Y = Z = 0, B' invertible) its two intersections add none; per
+# size the sweep factors A, B and AB and the cross matrices of the Bouldin
+# angle's intersection and deflated kernel, both angles reading one N(A)
+# and one R(B).
 SVD_COUNTS = {
     "classify": 1,
     "hartwig_katz": 5,
@@ -168,11 +221,15 @@ def test_full_svd_count(name, full_svds, forget_pair):
     assert len(full_svds) == SVD_COUNTS[name]
 
 
-# exact eigvalsh counts: classify decides hyponormal and hypo-EP with one
-# eigensolve each, a nonempty zero matrix included; power_ep, the block
-# checks and the truncation sweep read range inclusions from factorizations.
+# exact eigvalsh counts: classify makes one eigensolve, for the hypo-EP
+# eigenvalue it reports, a nonempty zero matrix included, and decides
+# hyponormal by a Cholesky; Johnson-Vinoth's AB hypo-EP flag is a Cholesky
+# too; power_ep, the product facts, the block checks and the truncation
+# sweep read range inclusions from factorizations.
 EIGVALSH_COUNTS = {
-    "classify": 2,
+    "classify": 1,
+    "hartwig_katz": 0,
+    "johnson_vinoth_check": 0,
     "power_ep": 0,
     "posinormal_product_conditions": 0,
     "block_kernel_inclusions": 0,
@@ -187,6 +244,8 @@ def test_eigvalsh_count(name, eigvalsh_calls, forget_pair):
     forget_pair()
     calls = {
         "classify": lambda: classify(a @ b),
+        "hartwig_katz": lambda: hartwig_katz(a, b),
+        "johnson_vinoth_check": lambda: johnson_vinoth_check(a, b),
         "power_ep": lambda: power_ep(a, 5),
         "posinormal_product_conditions": lambda: posinormal_product_conditions(dec),
         "block_kernel_inclusions": lambda: block_kernel_inclusions(dec),
@@ -237,26 +296,30 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
 
 
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):
-    # Hartwig-Katz factors A, B and AB (3) plus its intersect and sum (2);
-    # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
-    # the inclusions reuse the conditions' snapped B' and Z and the pair's B,
-    # and factor Y
+    # Hartwig-Katz factors A and B (6x6), AB through the 4x4 core of their
+    # rank-4 factors (never a 6x6 SVD of AB), and its intersect and sum
+    # cross matrices (2x4); Johnson-Vinoth, Djordjevic and the decomposition
+    # read the same pair; the conditions factor the snapped B' (4x4) and Z
+    # (2x2), and the inclusions reuse them and the pair's B, and factor Y
     a, b = random_commuting_ep_pair(6, 4, 2)
-    counts = []
+    shapes = []
 
-    def count(call):
+    def record(call):
         full_svds.clear()
         result = call()
-        counts.append(len(full_svds))
+        shapes.append(list(full_svds))
         return result
 
-    count(lambda: hartwig_katz(a, b))
-    count(lambda: johnson_vinoth_check(a, b))
-    count(lambda: djordjevic_check(a, b))
-    dec = count(lambda: decompose_pair(a, b))
-    count(lambda: posinormal_product_conditions(dec))
-    count(lambda: block_kernel_inclusions(dec))
-    assert counts == [5, 0, 0, 0, 2, 1]
+    record(lambda: hartwig_katz(a, b))
+    record(lambda: johnson_vinoth_check(a, b))
+    record(lambda: djordjevic_check(a, b))
+    dec = record(lambda: decompose_pair(a, b))
+    record(lambda: posinormal_product_conditions(dec))
+    record(lambda: block_kernel_inclusions(dec))
+    assert [len(s) for s in shapes] == [5, 0, 0, 0, 2, 1]
+    assert shapes == [
+        [(6, 6), (6, 6), (4, 4), (2, 4), (2, 4)], [], [], [], [(4, 4), (2, 2)], [(2, 4)]
+    ]
 
 
 PAIR_PROCEDURES = {

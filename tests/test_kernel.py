@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from eplab import InputError, ToleranceConfig, numerical_rank, pinv, psd_check
-from eplab.kernel import as_matrix, rank_threshold
+from eplab import (
+    DEFAULT_TOLERANCES, InputError, ToleranceConfig, numerical_rank, pinv, psd_check,
+    random_unitary,
+)
+from eplab.kernel import as_matrix, psd_spectrum, rank_threshold
 
 I2 = np.eye(2, dtype=complex)
 DIAG10 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -142,6 +145,28 @@ class TestPsdCheck:
         h = np.diag([1.0, -1e-12])
         assert psd_check(h) is True
         assert psd_check(np.diag([1.0, -1e-6])) is False
+
+    def test_empty(self):
+        assert psd_check(np.zeros((0, 0))) is True
+        assert psd_spectrum(np.zeros((0, 0))) == (True, 0.0)
+
+    def test_spectrum_agrees_on_zero_and_rejects_non_hermitian(self):
+        assert psd_spectrum(np.zeros((3, 3))) == (True, 0.0)
+        with pytest.raises(InputError):
+            psd_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 96])
+    def test_flag_is_the_spectrum_flag_either_side_of_the_bound(self, n):
+        # smallest eigenvalue -c * bound, bound = psd_tol * (1 + ||h||): the
+        # flag is True for c < 1 and False for c > 1, by both routes
+        rng = np.random.default_rng(400 + n)
+        u = random_unitary(n, rng)
+        for c in (*rng.uniform(0.1, 0.9, 6), *rng.uniform(1.1, 10.0, 6)):
+            lam = np.concatenate([[0.0], rng.uniform(0.0, 3.0, n - 1)])
+            lam[0] = -c * DEFAULT_TOLERANCES.psd_tol * (1.0 + np.linalg.norm(lam))
+            h = (u * lam) @ u.conj().T
+            h = 0.5 * (h + h.conj().T)
+            assert psd_check(h) is psd_spectrum(h)[0] is bool(c < 1.0)
 
 
 class TestAsMatrix:

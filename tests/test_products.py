@@ -18,12 +18,15 @@ from eplab import (
     random_invariant_range_b,
     random_johnson_vinoth_pair,
     random_same_kernel_pair,
+    random_unitary,
     range_basis,
 )
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 P = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+# N^2 = 0 exactly, but the square of N / ||N||_2 is roundoff, not 0
+NILPOTENT = np.array([[1 + 1j, 1 + 1j], [-1 - 1j, -1 - 1j]])
 
 
 class TestHartwigKatz:
@@ -68,6 +71,26 @@ class TestHartwigKatz:
         report = hartwig_katz(a, b)
         assert report.ab_ep == (report.cond_i and report.cond_ii)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_vanishing_product_of_ep_pairs(self, n):
+        # A = U (C ⊕ 0) U*, B = U (0 ⊕ D) U*: R(B) = N(A), so AB = 0 and
+        # every range and kernel fact of the product holds
+        rng = np.random.default_rng(9100 + n)
+        wrong = []
+        for _ in range(30):
+            r = int(rng.integers(1, n))
+            u = random_unitary(n, rng)
+            c, d = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                    for k in (r, n - r))
+            a = u[:, :r] @ c @ u[:, :r].conj().T
+            b = u[:, r:] @ d @ u[:, r:].conj().T
+            report = hartwig_katz(a, b)
+            flags = (report.cond_i, report.cond_ii, report.range_identity,
+                     report.kernel_identity, report.ab_ep)
+            if not all(flags):
+                wrong.append((r, flags))
+        assert wrong == []
+
 
 class TestGroupInvertible:
     def test_nilpotent_all_false(self):
@@ -76,6 +99,13 @@ class TestGroupInvertible:
         assert not report.range_stable
         assert not report.rank_stable
         assert report.residuals["rank"] == 1.0
+        assert report.residuals["rank_squared"] == 0.0
+
+    def test_nilpotent_with_inexact_unit_scale(self):
+        report = group_invertible_check(NILPOTENT)
+        assert (report.kernel_stable, report.range_stable, report.rank_stable) == (
+            False, False, False
+        )
         assert report.residuals["rank_squared"] == 0.0
 
     def test_invertible_all_true(self):
@@ -170,6 +200,9 @@ class TestPowers:
 
     def test_jordan_powers(self):
         assert power_ep(JORDAN, 2) == [False, True]
+
+    def test_vanishing_powers_are_ep(self):
+        assert power_ep(NILPOTENT, 3) == [False, True, True]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_ep_powers(self, seed):
