@@ -216,8 +216,7 @@ def _t_block_kernels(rng, dims, cfg):
     if not conditions.y_zero:
         violations.append(("y_zero", {"y_norm": conditions.y_norm}))
     x_norm = float(np.linalg.norm(dec.block_x))
-    b_norm = float(np.linalg.norm(dec.b_compressed()))
-    if not within(x_norm, cfg.subspace_tol * b_norm, "x_norm"):
+    if not within(x_norm, cfg.subspace_tol, "x_norm"):
         violations.append(("x_zero", {"x_norm": x_norm}))
     return violations, 4
 

@@ -5,7 +5,10 @@ N(A)^perp = R(A*), K spans N(A).  A and B are compressed to
 
     A ~ [[A', 0], [0, 0]]      B ~ [[B', X], [Y, Z]]
 
-with A' = Q*AQ, B' = Q*BQ, X = Q*BK, Y = K*BQ, Z = K*BK.  Decomposition
+with A' = Q*AQ, B' = Q*BQ, X = Q*BK, Y = K*BQ, Z = K*BK.  A and B are
+taken unit-scaled, A/‖A‖₂ and B/‖B‖₂, so every block and residual is of
+order 1 whatever the pair's scale: roundoff in them is of order eps
+(Higham §3.5), and each gate is ``subspace_tol`` itself.  Decomposition
 never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
@@ -24,10 +27,11 @@ class BlockDecomposition:
     """Compression of (A, B) to the splitting N(A)^perp + N(A).
 
     ``basis_u`` is the unitary U = [Q | K]; the blocks are slices of U*AU
-    and U*BU, each formed with one product.  ``residuals`` carries
-    ``reducing`` = ||K*AQ|| + ||Q*AK|| + ||K*AK|| (zero exactly when N(A)
-    reduces A), ``commutation`` = ||AB - BA||, and ``ya`` = ||Y A'||.
-    ``operands`` are the read-only A and B the blocks were formed from.
+    and U*BU for the unit-scaled A/‖A‖₂ and B/‖B‖₂, each formed with one
+    product.  ``residuals`` carries ``reducing`` = ||K*AQ|| + ||Q*AK|| +
+    ||K*AK|| (zero exactly when N(A) reduces A; in units of ‖A‖₂),
+    ``commutation`` = ||AB - BA|| and ``ya`` = ||Y A'|| (both in units of
+    ‖A‖₂‖B‖₂).  ``operands`` are the pair's read-only A and B, as given.
     """
 
     basis_u: np.ndarray
@@ -80,7 +84,7 @@ class InclusionReport:
 class PosinormalProductConditions:
     """Sufficient conditions for a commuting product to stay posinormal
     with closed range: B' posinormal, Z coposinormal; y_zero records whether
-    N(A) reduces B."""
+    N(A) reduces B, y_norm = ||Y|| in units of ‖B‖₂."""
 
     b_prime_posinormal: bool
     z_coposinormal: bool
@@ -89,7 +93,8 @@ class PosinormalProductConditions:
 
 
 def _decompose(pair):
-    a, b, f = pair.a, pair.b, pair.fa
+    f = pair.fa
+    a, b = f.unit, pair.fb.unit
     r, basis_u = f.rank, f.vh.conj().T
     ua, ub = f.vh @ a @ basis_u, f.vh @ b @ basis_u
     for m in (basis_u, ua, ub):  # the blocks are slices, shared by every copy
@@ -109,46 +114,24 @@ def _decompose(pair):
         block_y=y,
         block_z=ub[r:, r:],
         residuals=residuals,
-        operands=(a, b),
+        operands=(pair.a, pair.b),
     )
 
 
 def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
-    """The :class:`BlockDecomposition` of (a, b), from A's factorization."""
+    """The :class:`BlockDecomposition` of (a, b), from A's and B's
+    factorizations."""
     return factor_pair(a, b, cfg).report(_decompose)
-
-
-def _block_scales(dec):
-    """(‖A‖, ‖B‖) in Frobenius norm, from the blocks; computed once per
-    decomposition."""
-    if "scales" not in dec._shared:
-        a_norm = float(
-            np.sqrt(np.linalg.norm(dec.block_a_prime) ** 2 + dec.residuals["reducing"] ** 2)
-        )
-        dec._shared["scales"] = a_norm, float(np.linalg.norm(dec.b_compressed()))
-    return dec._shared["scales"]
-
-
-def _snap_block(block, scale, cfg):
-    """Zero out a block that is numerically zero relative to its parent.
-
-    Rank decisions inside a block are scaled by the block's own largest
-    singular value, so a pure-roundoff block would otherwise masquerade as
-    full rank and poison kernel computations."""
-    norm = float(np.linalg.norm(block))
-    if block.size and within(norm, cfg.subspace_tol * scale, "block norm"):
-        return np.zeros_like(block)
-    return block
 
 
 def _block_factor(dec, name, cfg):
     """Factorization of the block ``"b_prime"``, ``"y"`` or ``"z"`` of
-    ``dec`` snapped by ``_snap_block``; made once per decomposition and
-    config, so the block checks share it."""
+    ``dec``, its rank decided against 1, the norm of the unit-scaled B it
+    is a block of: a roundoff block has rank 0.  Made once per
+    decomposition and config, so the block checks share it."""
     key = (name, cfg)
     if key not in dec._shared:
-        block = _snap_block(getattr(dec, "block_" + name), _block_scales(dec)[1], cfg)
-        dec._shared[key] = factor(block, cfg)
+        dec._shared[key] = factor(getattr(dec, "block_" + name), cfg, 1.0)
     return dec._shared[key]
 
 
@@ -157,15 +140,15 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 
     Raises InapplicableError when the recorded commutation or reducing
     residual shows the pair was not actually commuting / reducing, or is
-    not finite.  Both bounds are relative to the operands' norms.
+    not finite.  Each bound is ``subspace_tol``: the residuals are those of
+    the unit-scaled operands.
     """
-    a_norm, b_norm = _block_scales(dec)
     tol = cfg.subspace_tol
-    if not within(dec.residuals["commutation"], tol * a_norm * b_norm, "commutation"):
+    if not within(dec.residuals["commutation"], tol, "commutation"):
         raise InapplicableError(
             f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
         )
-    if not within(dec.residuals["reducing"], tol * a_norm, "reducing"):
+    if not within(dec.residuals["reducing"], tol, "reducing"):
         raise InapplicableError(
             f"kernel does not reduce the first operand "
             f"(residual {dec.residuals['reducing']:.3e})"
@@ -202,7 +185,6 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 
 
 def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
-    _, b_norm = _block_scales(dec)
     y_norm = float(np.linalg.norm(dec.block_y))
     # an empty block's residuals are 0
     fbp, fz = _block_factor(dec, "b_prime", cfg), _block_factor(dec, "z", cfg)
@@ -210,7 +192,7 @@ def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
     return PosinormalProductConditions(
         b_prime_posinormal=within(fbp.posinormal_residual, tol, "block inclusion"),
         z_coposinormal=within(fz.coposinormal_residual, tol, "block inclusion"),
-        y_zero=within(y_norm, tol * b_norm, "y_norm"),
+        y_zero=within(y_norm, tol, "y_norm"),
         y_norm=y_norm,
     )
 

@@ -24,8 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
-    RankDecision, as_matrix, decide_rank, psd_check, rank_threshold, require_pair,
-    require_square,
+    RankDecision, as_matrix, decide_rank, psd_check, require_pair, require_square,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +350,9 @@ def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
     if s1.dim == 0 or s2.dim == s2.ambient_dim:
         return s1
     cross = s2.complement.conj().T @ s1.basis
-    f = factor(cross, cfg)
-    k = int(np.count_nonzero(f.s > rank_threshold((1.0,), cross.shape, cfg)))
+    f = factor(cross, cfg, 1.0)
     q = s1.basis @ f.vh.conj().T  # orthonormal: V is unitary
-    return _spanned(q[:, k:], np.hstack([q[:, :k], s1.complement]))
+    return _spanned(q[:, f.rank :], np.hstack([q[:, : f.rank], s1.complement]))
 
 
 def subspace_sum(s1, s2, cfg=DEFAULT_TOLERANCES):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab import catalog, write_matrix
+from eplab import catalog, catalog_names, write_matrix
 from eplab.cli import main, parse_size_list
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -24,6 +24,19 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
+
+
+def _assert_same_up_to_roundoff(got, expected):
+    # flags, dimensions and reasons equal; residuals within 1e-12 relative,
+    # or 1e-14 absolute where a residual is roundoff
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys()
+        for key in expected:
+            _assert_same_up_to_roundoff(got[key], expected[key])
+    elif isinstance(expected, float):
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    else:
+        assert got == expected
 
 
 class TestParseSizeList:
@@ -147,6 +160,23 @@ class TestDecomposeCommand:
         assert code == 0
         assert doc["result"]["kernel_inclusions"]["applicable"] is False
         assert doc["result"]["residuals"]["commutation"] > 0.5
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_pair_decided_alike_at_every_scale(self, name, tmp_path, capsys):
+        # the envelope is that of the unit-scaled pair, so scaling both
+        # operands by 1e-150 or 1e150 changes no decision and no residual
+        # beyond roundoff
+        pair = catalog(name)
+        results = []
+        for scale in (1e-150, 1.0, 1e150):
+            pa, pb = tmp_path / f"a{scale}.cmat", tmp_path / f"b{scale}.cmat"
+            write_matrix(pa, scale * pair.a)
+            write_matrix(pb, scale * pair.b)
+            code, doc, _ = run_json(capsys, "decompose", str(pa), str(pb))
+            assert code == 0
+            results.append(doc["result"])
+        for result in results:
+            _assert_same_up_to_roundoff(result, results[1])
 
 
 class TestFuzzCommand:

@@ -277,9 +277,10 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
 
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
-    # A (1), the product conditions' B' and Z (2), and the kernel
-    # inclusions' Y and B (2); with Y = Z = 0 and B' invertible its two
-    # intersections factor nothing
+    # the decomposition's A and B (2), then the product conditions' B' and
+    # Z (2), then the kernel inclusions' Y (1), which read B's factorization
+    # from the pair; with Y = Z = 0 and B' invertible its two intersections
+    # factor nothing
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
@@ -299,7 +300,7 @@ def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     # Hartwig-Katz factors A and B (6x6), AB through the 4x4 core of their
     # rank-4 factors (never a 6x6 SVD of AB), and its intersect and sum
     # cross matrices (2x4); Johnson-Vinoth, Djordjevic and the decomposition
-    # read the same pair; the conditions factor the snapped B' (4x4) and Z
+    # read the same pair; the conditions factor B' (4x4) and Z
     # (2x2), and the inclusions reuse them and the pair's B, and factor Y
     a, b = random_commuting_ep_pair(6, 4, 2)
     shapes = []

@@ -13,30 +13,35 @@ from eplab import (
     random_ep,
     random_same_kernel_pair,
 )
-from eplab.structure import _block_scales, _snap_block, embed_core
+from eplab.structure import embed_core
+
+_GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # the spectral norm of the 2x2 shear
 
 
 class TestDecompose:
+    # the blocks are those of A/||A||_2 and B/||B||_2
     def test_aligned_diagonals(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([2.0, 3.0]).astype(complex)
         dec = decompose_pair(a, b)
         np.testing.assert_allclose(dec.block_a_prime, [[1.0]])
-        np.testing.assert_allclose(dec.block_b_prime, [[2.0]])
+        np.testing.assert_allclose(dec.block_b_prime, [[2.0 / 3.0]])
         np.testing.assert_allclose(dec.block_x, [[0.0]])
         np.testing.assert_allclose(dec.block_y, [[0.0]])
-        np.testing.assert_allclose(dec.block_z, [[3.0]])
+        np.testing.assert_allclose(dec.block_z, [[1.0]])
         assert dec.residuals["commutation"] == pytest.approx(0.0)
 
     def test_noncommuting_pair_reports_coupling(self):
-        # oracle by direct 2x2 arithmetic: AB = [[1,1],[0,0]], BA = [[1,0],[0,0]]
+        # oracle by direct 2x2 arithmetic: AB = [[1,1],[0,0]], BA = [[1,0],[0,0]],
+        # and ||A||_2 = 1, ||G||_2 = golden ratio
         a = np.diag([1.0, 0.0]).astype(complex)
         g = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         ab, ba = a @ g, g @ a
         assert np.linalg.norm(ab - ba) == pytest.approx(1.0)
+        assert np.linalg.norm(g, 2) == pytest.approx(_GOLDEN)
         dec = decompose_pair(a, g)
-        np.testing.assert_allclose(dec.block_x, [[1.0]])
-        assert dec.residuals["commutation"] == pytest.approx(1.0)
+        np.testing.assert_allclose(dec.block_x, [[1.0 / _GOLDEN]])
+        assert dec.residuals["commutation"] == pytest.approx(1.0 / _GOLDEN)
 
     def test_zero_first_operand(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
@@ -45,7 +50,7 @@ class TestDecompose:
         assert dec.block_a_prime.shape == (0, 0)
         assert dec.block_x.shape == (0, 2)
         assert dec.block_y.shape == (2, 0)
-        np.testing.assert_allclose(dec.block_z, b)
+        np.testing.assert_allclose(dec.block_z, b / np.linalg.norm(b, 2))
 
     def test_basis_unitary(self):
         rng = np.random.default_rng(17)
@@ -58,13 +63,15 @@ class TestDecompose:
         a, b = random_commuting_ep_pair(7, 4, seed=5)
         dec = decompose_pair(a, b)
         rebuilt = embed_core(dec, dec.block_a_prime)
-        assert np.linalg.norm(a - rebuilt) <= 1e-10 * np.linalg.norm(a)
+        unit_a = a / np.linalg.norm(a, 2)
+        assert np.linalg.norm(unit_a - rebuilt) <= 1e-10 * np.linalg.norm(unit_a)
 
     def test_product_reconstruction_for_commuting_ep(self):
         a, b = random_commuting_ep_pair(6, 3, seed=8)
         dec = decompose_pair(a, b)
         product = embed_core(dec, dec.block_a_prime @ dec.block_b_prime)
-        assert np.linalg.norm(a @ b - product) <= 1e-8
+        unit_ab = (a / np.linalg.norm(a, 2)) @ (b / np.linalg.norm(b, 2))
+        assert np.linalg.norm(unit_ab - product) <= 1e-8
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -141,53 +148,58 @@ class TestProductConditions:
         dec = decompose_pair(a, b)
         conditions = posinormal_product_conditions(dec)
         assert conditions.y_zero
-        scale = 1.0 + np.linalg.norm(b)
-        assert np.linalg.norm(dec.block_x) <= 1e-8 * scale
-        assert np.linalg.norm(dec.block_y) <= 1e-8 * scale
-        assert dec.residuals["ya"] <= 1e-8 * scale * (1.0 + np.linalg.norm(a))
+        # blocks of the unit-scaled operands: no norm factor in the bounds
+        assert np.linalg.norm(dec.block_x) <= 1e-8
+        assert np.linalg.norm(dec.block_y) <= 1e-8
+        assert dec.residuals["ya"] <= 1e-8
 
 
-class TestNonFiniteResiduals:
-    def test_nan_commutation_raises(self):
-        # a non-commuting same-kernel EP pair: at 1e170 the commutator
-        # overflows to inf - inf = nan, which must fail the gate, not pass it
-        a, b = random_same_kernel_pair(6, 3, 0)
-        with pytest.raises(InapplicableError):
-            block_kernel_inclusions(decompose_pair(a, b))
-        with np.errstate(over="ignore", invalid="ignore"):
-            dec = decompose_pair(1e170 * a, 1e170 * b)
-            assert np.isnan(dec.residuals["commutation"])
-            with pytest.raises(InapplicableError):
-                block_kernel_inclusions(dec)
+# from deep underflow to near overflow of the operands' entries
+_SCALES = [1.0, 1e-12, 1e-40, 1e-100, 1e-200, 1e12, 1e160, 1e170, 1e250]
+
+
+def _assert_residuals_match(dec, unit):
+    # the residuals are those of the unit-scaled operands: finite, and the
+    # unit-scale ones up to the rounding of the scaling
+    for key, value in unit.residuals.items():
+        assert dec.residuals[key] == pytest.approx(value, rel=1e-12, abs=1e-14)
 
 
 class TestRelativeBounds:
-    # a generic (non-commuting) pair: every decision must be the one taken
-    # at unit scale, since the bounds scale with the operands' norms
-    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-40, 1e12])
+    # every decision must be the one taken at unit scale: the blocks and
+    # residuals are those of A/||A||_2 and B/||B||_2
+    @pytest.mark.parametrize("scale", _SCALES)
     def test_generic_pair_decided_alike_at_every_scale(self, scale):
         a, b = random_ep(6, 3, 1), random_ep(6, 3, 2)
         dec = decompose_pair(scale * a, scale * b)
         with pytest.raises(InapplicableError, match="do not commute"):
             block_kernel_inclusions(dec)
-        assert posinormal_product_conditions(dec).y_zero is False
+        conditions = posinormal_product_conditions(dec)
+        assert conditions.y_zero is False
+        unit = decompose_pair(a, b)
+        assert conditions.y_norm == pytest.approx(
+            posinormal_product_conditions(unit).y_norm, rel=1e-12
+        )
+        _assert_residuals_match(dec, unit)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-40, 1e12])
+    @pytest.mark.parametrize("scale", _SCALES)
     def test_commuting_pair_decided_alike_at_every_scale(self, scale):
         a, b = random_commuting_ep_pair(6, 3, 0)
         dec = decompose_pair(scale * a, scale * b)
         report = block_kernel_inclusions(dec)
         assert report.kernel_z_included and report.kernel_bprime_included
         assert posinormal_product_conditions(dec).y_zero is True
+        _assert_residuals_match(dec, decompose_pair(a, b))
 
-    def test_overflowed_block_norm_raises(self):
-        # at 1e160 the Frobenius norm of Y overflows to inf; inf <= inf
-        # must not read as "Y is zero"
-        a, b = random_ep(6, 3, 1), random_ep(6, 3, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dec = decompose_pair(1e160 * a, 1e160 * b)
-            with pytest.raises(InapplicableError, match="not finite"):
-                posinormal_product_conditions(dec)
+    @pytest.mark.parametrize("scale", _SCALES)
+    def test_same_kernel_pair_decided_alike_at_every_scale(self, scale):
+        # a non-commuting same-kernel EP pair: its commutator must neither
+        # overflow nor underflow, so it fails its gate at every scale
+        a, b = random_same_kernel_pair(6, 3, 0)
+        dec = decompose_pair(scale * a, scale * b)
+        with pytest.raises(InapplicableError, match="do not commute"):
+            block_kernel_inclusions(dec)
+        _assert_residuals_match(dec, decompose_pair(a, b))
 
 
 # the seeds of the pair tests above
@@ -214,16 +226,23 @@ _SAME_KERNEL = [_seeded_pair(random_same_kernel_pair, s) for s in _PAIR_SEEDS]
 _JORDAN = [_jordan_pair(False), _jordan_pair(True)]
 
 
+def _snapped(block):
+    # an independent reference for a roundoff block: zero when its Frobenius
+    # norm, in units of the unit-scaled B, is within subspace_tol
+    if block.size and np.linalg.norm(block) <= DEFAULT_TOLERANCES.subspace_tol:
+        return np.zeros_like(block)
+    return block
+
+
 class TestClassifyEquivalence:
     """The block checks read one range inclusion from a block's
-    factorization; ``classify`` on the same snapped block is the reference."""
+    factorization; ``classify`` on the same block, zeroed when it is
+    roundoff, is the reference."""
 
     @pytest.mark.parametrize("pair", _COMMUTING + _SAME_KERNEL + _JORDAN)
     def test_product_conditions(self, pair):
         dec = decompose_pair(*pair)
-        _, b_norm = _block_scales(dec)
-        bp = _snap_block(dec.block_b_prime, b_norm, DEFAULT_TOLERANCES)
-        z = _snap_block(dec.block_z, b_norm, DEFAULT_TOLERANCES)
+        bp, z = _snapped(dec.block_b_prime), _snapped(dec.block_z)
         conditions = posinormal_product_conditions(dec)
         assert conditions.b_prime_posinormal == (bp.size == 0 or classify(bp).posinormal)
         assert conditions.z_coposinormal == (z.size == 0 or classify(z).coposinormal)
