@@ -127,10 +127,10 @@ def cmd_decompose(args, cfg):
         "core_dim": dec.core_dim,
         "kernel_dim": dec.kernel_dim,
         "residuals": dec.residuals,
-        "conditions": posinormal_product_conditions(dec, cfg),
+        "conditions": posinormal_product_conditions(dec),
     }
     try:
-        result["kernel_inclusions"] = block_kernel_inclusions(dec, cfg)
+        result["kernel_inclusions"] = block_kernel_inclusions(dec)
     except InapplicableError as exc:
         result["kernel_inclusions"] = {"applicable": False, "reason": str(exc)}
     return {"path_a": args.path_a, "path_b": args.path_b}, result, ()

@@ -204,7 +204,7 @@ def _t_block_kernels(rng, dims, cfg):
     dec = decompose_pair(a, b, cfg)
     violations = []
     try:
-        report = block_kernel_inclusions(dec, cfg)
+        report = block_kernel_inclusions(dec)
     except InapplicableError as exc:
         violations.append(("applicability", {"error": str(exc), **dec.residuals}))
         return violations, 1
@@ -212,7 +212,7 @@ def _t_block_kernels(rng, dims, cfg):
         violations.append(("kernel_z", {"residual": report.kernel_z_residual}))
     if not report.kernel_bprime_included:
         violations.append(("kernel_bprime", {"residual": report.kernel_bprime_residual}))
-    conditions = posinormal_product_conditions(dec, cfg)
+    conditions = posinormal_product_conditions(dec)
     if not conditions.y_zero:
         violations.append(("y_zero", {"y_norm": conditions.y_norm}))
     x_norm = float(np.linalg.norm(dec.block_x))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
-from .kernel import numerical_rank, require_square
+from .kernel import embed, numerical_rank, require_square
 from .predicates import is_ep
 from .subspaces import (
     Subspace,
@@ -108,18 +108,6 @@ def _validate_rank(n, r):
         raise InputError(f"rank must satisfy 0 <= r <= {n}, got {r}")
 
 
-def _embed(u, *blocks):
-    """U (block-diagonal stack) U*."""
-    n = u.shape[0]
-    full = np.zeros((n, n), dtype=np.complex128)
-    offset = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        full[offset : offset + k, offset : offset + k] = blk
-        offset += k
-    return u @ full @ u.conj().T
-
-
 def random_ep(n, r, seed=None, cond_cap=1e4):
     """Random EP matrix of exact rank r: U (C ⊕ 0) U* with C invertible."""
     _validate_rank(n, r)
@@ -128,7 +116,7 @@ def random_ep(n, r, seed=None, cond_cap=1e4):
     rng = _rng(seed)
     u = random_unitary(n, rng)
     c = _invertible_core(rng, r, cond_cap)
-    return _embed(u, c, np.zeros((n - r, n - r), dtype=np.complex128))
+    return embed(u, c)
 
 
 def random_commuting_ep_pair(n, r, seed=None, cond_cap=1e4):
@@ -154,8 +142,8 @@ def random_commuting_ep_pair(n, r, seed=None, cond_cap=1e4):
     b_core = v @ np.diag(spectrum()) @ v.conj().T
     z_rank = int(rng.integers(0, n - r + 1))
     z = random_ep(n - r, z_rank, rng, cond_cap)
-    a = _embed(u, a_core, np.zeros((n - r, n - r), dtype=np.complex128))
-    b = _embed(u, b_core, z)
+    a = embed(u, a_core)
+    b = embed(u, b_core, z)
     return a, b
 
 
@@ -164,9 +152,8 @@ def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
     _validate_rank(n, r)
     rng = _rng(seed)
     u = random_unitary(n, rng)
-    zero = np.zeros((n - r, n - r), dtype=np.complex128)
-    a = _embed(u, _invertible_core(rng, r, cond_cap), zero)
-    b = _embed(u, _invertible_core(rng, r, cond_cap), zero)
+    a = embed(u, _invertible_core(rng, r, cond_cap))
+    b = embed(u, _invertible_core(rng, r, cond_cap))
     return a, b
 
 
@@ -183,11 +170,8 @@ def random_johnson_vinoth_pair(a, seed=None, cond_cap=1e4):
     if not within(residual, DEFAULT_TOLERANCES.subspace_tol, "ep residual"):
         raise InapplicableError(f"input must be EP (residual {residual:.3e})")
     rng = _rng(seed)
-    r = f.rank
-    n = a.shape[0]
     u = f.vh.conj().T  # [Q | K], Q spanning R(A*) = R(A)
-    core = _invertible_core(rng, r, cond_cap)
-    return _embed(u, core, np.zeros((n - r, n - r), dtype=np.complex128))
+    return embed(u, _invertible_core(rng, f.rank, cond_cap))
 
 
 def _random_invariant_subspace(a, rng):

@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives: numerical rank policy, PSD test.
+"""Dense complex-matrix primitives: rank policy, PSD test, block embedding.
 
 Every downstream predicate is built on the single rank policy implemented
 here: singular values above ``rank_multiplier * eps * max(m, n) * sigma_max``
@@ -35,6 +35,19 @@ def require_square(m, what="matrix"):
     if m.shape[0] != m.shape[1]:
         raise InputError(f"{what} must be square, got shape {m.shape}")
     return m
+
+
+def embed(u, *blocks):
+    """U (block-diagonal stack ⊕ 0) U*: the blocks along the diagonal from
+    the top left, zero beyond them."""
+    n = u.shape[0]
+    full = np.zeros((n, n), dtype=np.complex128)
+    offset = 0
+    for blk in blocks:
+        k = blk.shape[0]
+        full[offset : offset + k, offset : offset + k] = blk
+        offset += k
+    return u @ full @ u.conj().T
 
 
 def require_pair(a, b):

@@ -12,14 +12,16 @@ order 1 whatever the pair's scale: roundoff in them is of order eps
 never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within
+from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import factor, factor_pair, inclusion_residual, intersect
+from .kernel import embed
+from .subspaces import Factorization, factor, factor_pair, inclusion_residual, intersect
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +33,12 @@ class BlockDecomposition:
     product.  ``residuals`` carries ``reducing`` = ||K*AQ|| + ||Q*AK|| +
     ||K*AK|| (zero exactly when N(A) reduces A; in units of ‖A‖₂),
     ``commutation`` = ||AB - BA|| and ``ya`` = ||Y A'|| (both in units of
-    ‖A‖₂‖B‖₂).  ``operands`` are the pair's read-only A and B, as given.
+    ‖A‖₂‖B‖₂).  ``fb`` is B's factorization (not the pair, which keeps
+    the decomposition) and ``cfg`` the config the pair was decomposed
+    under; the block checks read both from here.
+    ``fbp``, ``fy`` and ``fz`` factor B', Y and Z on first use and keep
+    them, each decided against 1, the norm of the unit-scaled B it is a
+    block of: a roundoff block has rank 0.
     """
 
     basis_u: np.ndarray
@@ -41,9 +48,12 @@ class BlockDecomposition:
     block_y: np.ndarray
     block_z: np.ndarray
     residuals: dict
-    operands: tuple
-    # what the block checks compute once per decomposition (and config)
-    _shared: dict = field(default_factory=dict, init=False, repr=False)
+    fb: Factorization
+    cfg: ToleranceConfig
+
+    fbp = cached_property(lambda self: factor(self.block_b_prime, self.cfg, 1.0))
+    fy = cached_property(lambda self: factor(self.block_y, self.cfg, 1.0))
+    fz = cached_property(lambda self: factor(self.block_z, self.cfg, 1.0))
 
     @property
     def core_dim(self):
@@ -114,7 +124,8 @@ def _decompose(pair):
         block_y=y,
         block_z=ub[r:, r:],
         residuals=residuals,
-        operands=(pair.a, pair.b),
+        fb=pair.fb,
+        cfg=pair.cfg,
     )
 
 
@@ -124,26 +135,15 @@ def decompose_pair(a, b, cfg=DEFAULT_TOLERANCES):
     return factor_pair(a, b, cfg).report(_decompose)
 
 
-def _block_factor(dec, name, cfg):
-    """Factorization of the block ``"b_prime"``, ``"y"`` or ``"z"`` of
-    ``dec``, its rank decided against 1, the norm of the unit-scaled B it
-    is a block of: a roundoff block has rank 0.  Made once per
-    decomposition and config, so the block checks share it."""
-    key = (name, cfg)
-    if key not in dec._shared:
-        dec._shared[key] = factor(getattr(dec, "block_" + name), cfg, 1.0)
-    return dec._shared[key]
-
-
-def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
+def block_kernel_inclusions(dec):
     """Kernel inclusions implied by a commuting quasiposinormal pair.
 
     Raises InapplicableError when the recorded commutation or reducing
     residual shows the pair was not actually commuting / reducing, or is
-    not finite.  Each bound is ``subspace_tol``: the residuals are those of
-    the unit-scaled operands.
+    not finite.  Each bound is the decomposition's ``subspace_tol``: the
+    residuals are those of the unit-scaled operands.
     """
-    tol = cfg.subspace_tol
+    cfg, tol = dec.cfg, dec.cfg.subspace_tol
     if not within(dec.residuals["commutation"], tol, "commutation"):
         raise InapplicableError(
             f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
@@ -155,7 +155,7 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
         )
 
     # N(X*) is the cokernel of X's factorization
-    fz, fy, fbp = (_block_factor(dec, name, cfg) for name in ("z", "y", "b_prime"))
+    fz, fy, fbp = dec.fz, dec.fy, dec.fbp
     z_target = intersect(fz.cokernel, fy.cokernel, cfg)
     r_z = inclusion_residual(fz.kernel, z_target)
     bp_source = intersect(fbp.kernel, fy.kernel, cfg)
@@ -163,9 +163,8 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
     # the equality versions apply when the compressed B, unitarily similar
-    # to B, is coposinormal: B's own factorization, shared with a pair chain
-    fb = factor_pair(*dec.operands, cfg).fb
-    if within(fb.coposinormal_residual, tol, "block inclusion"):
+    # to B, is coposinormal: B's own factorization decides it
+    if within(dec.fb.coposinormal_residual, tol, "block inclusion"):
         # equality residual = max of the two inclusion residuals, one of them known
         z_equal_res = max(r_z, inclusion_residual(z_target, fz.kernel))
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
@@ -184,14 +183,13 @@ def block_kernel_inclusions(dec, cfg=DEFAULT_TOLERANCES):
     )
 
 
-def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
+def posinormal_product_conditions(dec):
     y_norm = float(np.linalg.norm(dec.block_y))
     # an empty block's residuals are 0
-    fbp, fz = _block_factor(dec, "b_prime", cfg), _block_factor(dec, "z", cfg)
-    tol = cfg.subspace_tol
+    tol = dec.cfg.subspace_tol
     return PosinormalProductConditions(
-        b_prime_posinormal=within(fbp.posinormal_residual, tol, "block inclusion"),
-        z_coposinormal=within(fz.coposinormal_residual, tol, "block inclusion"),
+        b_prime_posinormal=within(dec.fbp.posinormal_residual, tol, "block inclusion"),
+        z_coposinormal=within(dec.fz.coposinormal_residual, tol, "block inclusion"),
         y_zero=within(y_norm, tol, "y_norm"),
         y_norm=y_norm,
     )
@@ -199,11 +197,7 @@ def posinormal_product_conditions(dec, cfg=DEFAULT_TOLERANCES):
 
 def embed_core(dec, core):
     """Map an r x r core block back to the full space: U (core ⊕ 0) U*."""
-    n = dec.basis_u.shape[0]
-    r = core.shape[0]
-    padded = np.zeros((n, n), dtype=np.complex128)
-    padded[:r, :r] = core
-    return dec.basis_u @ padded @ dec.basis_u.conj().T
+    return embed(dec.basis_u, core)
 
 
 __all__ = [

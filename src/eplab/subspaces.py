@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
-    RankDecision, as_matrix, decide_rank, psd_check, require_pair, require_square,
+    RankDecision, as_matrix, decide_rank, psd_check, rank_threshold, require_pair,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +169,17 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     times the product of the factors' norms (Higham, §3.5), so a product
     it cannot tell from 0 is decided as 0.  The trade-off: a product with
     ‖AB‖₂ at or below ``rank_multiplier * eps * n * ‖A‖₂‖B‖₂`` (about
-    1e-13·‖A‖‖B‖ at n = 8) has rank 0.
+    1e-13·‖A‖‖B‖ at n = 8) has rank 0.  With a scale, a matrix whose
+    Frobenius norm is at or below the threshold has rank 0 for certain
+    (every singular value is at most that norm), so it is not factored:
+    ``u`` and ``vh`` are identities and ``s`` is zeros.
     """
     m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    if scale is None or np.linalg.norm(m) > rank_threshold((scale,), m.shape, cfg):
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
+    else:
+        u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
+        s = np.zeros(min(m.shape))
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
 
 
@@ -382,10 +389,7 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     zero space there is no direction along which the product can degenerate,
     and the report uses the convention cos 0 / angle π/2 instead of erroring.
     """
-    s = require_square(s)
-    t = require_square(t)
-    if s.shape != t.shape:
-        raise DimensionMismatchError(f"size mismatch: {s.shape} vs {t.shape}")
+    s, t = require_pair(s, t)
     return _bouldin_angle(kernel_basis(s, cfg), range_basis(t, cfg), cfg)
 
 

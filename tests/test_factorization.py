@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eplab import (
+    DEFAULT_TOLERANCES,
     Factorization,
     Subspace,
     ToleranceConfig,
@@ -30,6 +31,7 @@ from eplab import (
 )
 from eplab import subspaces
 from eplab.cli import main
+from eplab.kernel import rank_threshold
 from eplab.subspaces import equality_residual, kernel_basis
 
 
@@ -135,6 +137,33 @@ class TestProductFactorization:
             assert fab.rank == 0
 
 
+class TestRankZeroWithoutAnSvd:
+    # with a scale, a matrix whose Frobenius norm is at or below the rank
+    # threshold has rank 0 for certain, so factor makes no SVD
+
+    def test_roundoff_against_a_scale_is_not_factored(self, full_svds):
+        m = 1e-20 * _mixed(5, n=6, r=4)[:4]
+        full_svds.clear()
+        f = factor(m, DEFAULT_TOLERANCES, 1.0)
+        assert full_svds == []
+        assert f.rank == 0 and f.kernel.dim == 6 and f.cokernel.dim == 4
+        np.testing.assert_array_equal(f.u, np.eye(4))
+        np.testing.assert_array_equal(f.vh, np.eye(6))
+        np.testing.assert_array_equal(f.s, np.zeros(4))
+        # decided against its own largest singular value, it is factored
+        assert factor(m).rank == 4
+        assert full_svds == [(4, 6)]
+
+    def test_just_above_the_threshold_is_factored(self, full_svds):
+        m = _mixed(6, n=6, r=4)
+        threshold = rank_threshold((1.0,), m.shape, DEFAULT_TOLERANCES)
+        m *= 1.01 * threshold / np.linalg.norm(m)
+        full_svds.clear()
+        f = factor(m, DEFAULT_TOLERANCES, 1.0)
+        assert full_svds == [(6, 6)]
+        assert f.rank == int(np.count_nonzero(f.s > threshold))
+
+
 @pytest.fixture(autouse=True)
 def forget_pair():
     """Empties the one-entry pair memo before and after each test, so a
@@ -181,22 +210,24 @@ def eigvalsh_calls(monkeypatch):
 # matrix: classify factors M; a product procedure factors A, B and AB (AB
 # through the r_a x r_b core of their factors; A and A^2 for the squaring
 # check); intersect and subspace_sum add one cross matrix each, none when
-# the first space is {0} or the second the whole space; a block check
-# factors Z, Y, B' and the cold pair's B (not the compressed U*BU), and on
-# this pair (Y = Z = 0, B' invertible) its two intersections add none; per
-# size the sweep factors A, B and AB and the cross matrices of the Bouldin
-# angle's intersection and deflated kernel, both angles reading one N(A)
-# and one R(B).
+# the first space is {0}, the second the whole space or the cross matrix
+# roundoff (on this commuting pair, each of Hartwig-Katz's); a block check
+# factors B', Y and Z, each once per decomposition, and reads B's
+# factorization from the decomposition: on this pair Y and Z are roundoff,
+# rank 0 without an SVD, so only B' is factored, and the two intersections
+# add none; per size the sweep factors A, B and AB and the cross matrices
+# of the Bouldin angle's intersection (roundoff here: N(A) lies in R(B))
+# and deflated kernel, both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
     "classify": 1,
-    "hartwig_katz": 5,
-    "djordjevic_check": 5,
+    "hartwig_katz": 3,
+    "djordjevic_check": 3,
     "group_invertible_check": 2,
     "johnson_vinoth_check": 3,
-    "product_range_identity": 4,
-    "block_kernel_inclusions": 4,
-    "posinormal_product_conditions": 2,
-    "sweep": 15,
+    "product_range_identity": 3,
+    "block_kernel_inclusions": 1,
+    "posinormal_product_conditions": 1,
+    "sweep": 12,
 }
 
 
@@ -268,24 +299,25 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
     full_svds, pair_files, capsys
 ):
     # A, B and AB (3) serve both Hartwig-Katz and Johnson-Vinoth, and
-    # Hartwig-Katz's intersect and subspace_sum add 2; Djordjevic gates the
+    # Hartwig-Katz's intersect and subspace_sum cross matrices are roundoff
+    # on this commuting pair, so they add none; Djordjevic gates the
     # Hartwig-Katz report instead of factoring again
     full_svds.clear()
     assert main(["product", *pair_files]) == 0
     capsys.readouterr()
-    assert len(full_svds) == 5
+    assert len(full_svds) == 3
 
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
-    # the decomposition's A and B (2), then the product conditions' B' and
-    # Z (2), then the kernel inclusions' Y (1), which read B's factorization
-    # from the pair; with Y = Z = 0 and B' invertible its two intersections
-    # factor nothing
+    # the decomposition's A and B (2), then the product conditions' B' (1);
+    # Y and Z are roundoff, rank 0 without an SVD; the kernel inclusions
+    # read B's factorization from the decomposition, and with Y = Z = 0 and
+    # B' invertible its two intersections factor nothing
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
     capsys.readouterr()
-    assert len(full_svds) == 5
+    assert len(full_svds) == 3
     assert len(eigvalsh_calls) == 0
 
 
@@ -297,11 +329,13 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
 
 
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):
-    # Hartwig-Katz factors A and B (6x6), AB through the 4x4 core of their
-    # rank-4 factors (never a 6x6 SVD of AB), and its intersect and sum
-    # cross matrices (2x4); Johnson-Vinoth, Djordjevic and the decomposition
-    # read the same pair; the conditions factor B' (4x4) and Z
-    # (2x2), and the inclusions reuse them and the pair's B, and factor Y
+    # Hartwig-Katz factors A and B (6x6) and AB through the 4x4 core of
+    # their rank-4 factors (never a 6x6 SVD of AB); its intersect and sum
+    # cross matrices (2x4) are roundoff, rank 0 without an SVD;
+    # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
+    # the conditions factor B' (4x4) and decide the roundoff Z without an
+    # SVD, and the inclusions reuse them and the decomposition's B, and
+    # decide the roundoff Y without an SVD
     a, b = random_commuting_ep_pair(6, 4, 2)
     shapes = []
 
@@ -317,10 +351,8 @@ def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     dec = record(lambda: decompose_pair(a, b))
     record(lambda: posinormal_product_conditions(dec))
     record(lambda: block_kernel_inclusions(dec))
-    assert [len(s) for s in shapes] == [5, 0, 0, 0, 2, 1]
-    assert shapes == [
-        [(6, 6), (6, 6), (4, 4), (2, 4), (2, 4)], [], [], [], [(4, 4), (2, 2)], [(2, 4)]
-    ]
+    assert [len(s) for s in shapes] == [3, 0, 0, 0, 1, 0]
+    assert shapes == [[(6, 6), (6, 6), (4, 4)], [], [], [], [(4, 4)], []]
 
 
 PAIR_PROCEDURES = {

@@ -1,0 +1,143 @@
+"""Numerical decisions checked against exact ranks of Gaussian-integer matrices.
+
+Each fact below is a rank equality, so it is decided exactly from a
+fraction-free (Bareiss) elimination over Python ints:
+
+- EP:       R(M) = R(M*)           iff rank [M, M*] = rank M
+- cond_i:   R(AB) ⊆ R(B)           iff rank [B, AB] = rank B
+- cond_ii:  N(A) ⊆ N(AB)           iff rank [A; AB] = rank A
+- group invertible (all three faces of the squaring check)
+                                   iff rank A² = rank A
+
+A complex matrix X + iY has rank half that of its real form
+[[X, -Y], [Y, X]].  Draws are n = 1..5 with real and imaginary parts in
+-2..2; most are low-rank products L·R of small factors, so nilpotent
+matrices and vanishing products and powers are common, and their
+unit-scaled roundoff is not always zero.  Without the unit-scale rank
+decision of products and powers this finds about two dozen wrong flags.
+Every entry, of A², A³ and AB too, is an integer far below 2**53, so numpy
+forms them exactly.
+"""
+
+import numpy as np
+import pytest
+
+from eplab import classify, group_invertible_check, hartwig_katz, power_ep
+
+
+def _bareiss_rank(rows):
+    """Exact rank of an integer matrix given as a list of rows of ints:
+    fraction-free elimination to echelon form, every division exact
+    (Bareiss 1968; skipping a zero column keeps the entries minors)."""
+    rows = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top, p = rows[rank], rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _rank(m):
+    """Exact complex rank of a Gaussian-integer matrix held in complex128."""
+    x = np.rint(m.real).astype(np.int64).tolist()
+    y = np.rint(m.imag).astype(np.int64).tolist()
+    real_form = [xr + [-v for v in yr] for xr, yr in zip(x, y)]
+    real_form += [yr + xr for xr, yr in zip(x, y)]
+    return _bareiss_rank(real_form) // 2
+
+
+def _ep(m):
+    return _rank(np.hstack([m, m.conj().T])) == _rank(m)
+
+
+def _gaussian_ints(rng, rows, cols):
+    """A factor with parts in -2..2, or in -1..1 half the time, and real
+    half the time: such factors often multiply to a vanishing R·L, and so
+    to nilpotent matrices and vanishing products and powers."""
+    bound, shape = int(rng.integers(1, 3)), (rows, cols)
+    m = rng.integers(-bound, bound + 1, shape).astype(np.complex128)
+    if rng.random() < 0.5:
+        m += 1j * rng.integers(-bound, bound + 1, shape)
+    return m
+
+
+def _draw(rng, n):
+    """A Gaussian-integer n x n matrix; 70% are products L·R of inner
+    dimension below n (0 for n = 1)."""
+    if rng.random() < 0.7:
+        k = int(rng.integers(min(1, n - 1), n))
+        return _gaussian_ints(rng, n, k) @ _gaussian_ints(rng, k, n)
+    return _gaussian_ints(rng, n, n)
+
+
+def _disagreements(a, b):
+    """(fact, numerical, exact) for every fact the two decide differently."""
+    ab, a2 = a @ b, a @ a
+    rank_a, rank_b = _rank(a), _rank(b)
+    exact_hk = {
+        "cond_i": _rank(np.hstack([b, ab])) == rank_b,
+        "cond_ii": _rank(np.vstack([a, ab])) == rank_a,
+        "ab_ep": _ep(ab),
+        "a_ep": _ep(a),
+        "b_ep": _ep(b),
+    }
+    report = hartwig_katz(a, b)
+    found = [(k, getattr(report, k), v) for k, v in exact_hk.items()]
+    stable = _rank(a2) == rank_a
+    gi = group_invertible_check(a)
+    found += [
+        (k, getattr(gi, k), stable)
+        for k in ("kernel_stable", "range_stable", "rank_stable")
+    ]
+    exact_powers = [exact_hk["a_ep"], _ep(a2), _ep(a2 @ a)]
+    found += [
+        (f"power_ep[{i}]", got, want)
+        for i, (got, want) in enumerate(zip(power_ep(a, 3), exact_powers))
+    ]
+    found.append(("classify.ep", classify(a).ep, exact_hk["a_ep"]))
+    return [f for f in found if f[1] != f[2]]
+
+
+class TestExactRank:
+    @pytest.mark.parametrize(
+        "m, rank",
+        [
+            (np.zeros((3, 3)), 0),
+            (np.eye(4), 4),
+            (np.array([[1, 1j], [1j, -1]]), 1),  # second row = i * first
+            (np.array([[1 + 1j, 1 + 1j], [-1 - 1j, -1 - 1j]]), 1),
+            (np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2),
+            (np.array([[2, 4, 1], [1, 2, 0], [3, 6, 1]]), 2),  # zero column mid-way
+            (np.zeros((2, 0)), 0),
+        ],
+    )
+    def test_known_ranks(self, m, rank):
+        assert _rank(np.asarray(m, dtype=np.complex128)) == rank
+
+    def test_agrees_with_the_svd_on_well_separated_draws(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = _draw(rng, int(rng.integers(1, 6)))
+            s = np.linalg.svd(m, compute_uv=False)
+            top = s[0] if s.size else 0.0
+            if np.any((s > 1e-12 * top) & (s <= 1e-6 * top)):
+                continue  # only draws with a clear gap between roundoff and rank
+            assert _rank(m) == int(np.count_nonzero(s > 1e-9 * top))
+
+
+def test_decisions_match_the_exact_oracle():
+    # 600 draws, 12 facts each
+    rng = np.random.default_rng(20260810)
+    wrong = []
+    for draw in range(600):
+        n = int(rng.integers(1, 6))
+        wrong += [(draw, *f) for f in _disagreements(_draw(rng, n), _draw(rng, n))]
+    assert wrong == []

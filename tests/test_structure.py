@@ -5,6 +5,7 @@ from eplab import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     InapplicableError,
+    ToleranceConfig,
     block_kernel_inclusions,
     classify,
     decompose_pair,
@@ -200,6 +201,23 @@ class TestRelativeBounds:
         with pytest.raises(InapplicableError, match="do not commute"):
             block_kernel_inclusions(dec)
         _assert_residuals_match(dec, decompose_pair(a, b))
+
+
+class TestTheDecompositionsConfig:
+    def test_the_checks_follow_the_config_of_the_decomposition(self):
+        # a pair that commutes only to about 1e-7: within a 1e-6 gate, not
+        # within the default 1e-8 one
+        a, b = random_commuting_ep_pair(6, 3, 5)
+        rng = np.random.default_rng(5)
+        b = b + 1e-7 * np.linalg.norm(b, 2) * rng.standard_normal((6, 6))
+        loose = decompose_pair(a, b, ToleranceConfig(subspace_tol=1e-6))
+        assert 1e-8 < loose.residuals["commutation"] < 1e-6
+        assert block_kernel_inclusions(loose).kernel_z_residual <= 1e-6
+        assert posinormal_product_conditions(loose).y_zero is True
+        dec = decompose_pair(a, b)
+        with pytest.raises(InapplicableError, match="do not commute"):
+            block_kernel_inclusions(dec)
+        assert posinormal_product_conditions(dec).y_zero is False
 
 
 # the seeds of the pair tests above

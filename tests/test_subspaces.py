@@ -462,7 +462,9 @@ class TestLatticeFromTheCrossMatrix:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         for s1 in spaces:
             for s2 in spaces:
-                trivial = s1.dim == 0 or s2.dim == n
+                # s1 inside s2 (here s1 is s2): the cross matrix is roundoff,
+                # which the rank policy calls zero without an SVD
+                trivial = s1.dim == 0 or s2.dim == n or s1 is s2
                 calls.clear()
                 intersect(s1, s2)
                 assert calls == ([] if trivial else [((n - s2.dim, s1.dim), True)])
