@@ -20,7 +20,7 @@ from .errors import (
     InputError,
     TrivialSubspaceError,
 )
-from .kernel import RankDecision, as_matrix, numerical_rank, psd_check
+from .kernel import RankDecision, as_matrix, psd_check
 from .subspaces import (
     AngleReport,
     BouldinComponents,
@@ -35,6 +35,7 @@ from .subspaces import (
     intersect,
     kernel_basis,
     minimal_angle,
+    numerical_rank,
     pinv,
     projector,
     range_basis,

@@ -14,15 +14,15 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within
 from .errors import InapplicableError, InputError
-from .kernel import embed, numerical_rank, require_square
-from .predicates import is_ep
+from .kernel import embed, require_square
 from .subspaces import (
     Subspace,
-    _bouldin_angle,
+    bouldin_angle,
     factor,
+    factor_pair,
     includes,
-    kernel_basis,
     minimal_angle,
+    numerical_rank,
     range_basis,
 )
 
@@ -210,7 +210,7 @@ def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
         if numerical_rank(m, cfg).rank < s.dim:
             continue
         b = s.basis @ m
-        if includes(range_basis(a @ b, cfg), range_basis(b, cfg), cfg):
+        if includes(range_basis(a @ b, cfg), s, cfg):  # M full row rank: R(B) = S
             return b
     raise InputError("failed to draw an invariant-range factor for this matrix")
 
@@ -373,25 +373,17 @@ def weighted_shift_truncation(m):
     return w
 
 
-def _sigma_min_plus(m, cfg):
-    decision = numerical_rank(m, cfg)
-    if decision.rank == 0:
-        return math.nan
-    return float(decision.singular_values[decision.rank - 1])
-
-
 def _metrics_for_pair(size, a, b, cfg, extra_residuals):
-    ab = a @ b
-    n_a = kernel_basis(a, cfg)
-    r_b = range_basis(b, cfg)
+    pair = factor_pair(a, b, cfg)
+    n_a, r_b = pair.fa.kernel, pair.fb.range
     cos = minimal_angle(n_a, r_b).cos_min_angle if n_a.dim and r_b.dim else math.nan
-    bouldin = _bouldin_angle(n_a, r_b, cfg).cos_min_angle
+    fab = factor(a @ b, cfg)  # at its own scale: sigma_min_plus is in AB's units
     return TruncationMetrics(
         size=int(size),
         cos_min_angle=cos,
-        bouldin_cos=bouldin,
-        sigma_min_plus=_sigma_min_plus(ab, cfg),
-        ab_ep=is_ep(ab, cfg)[0],
+        bouldin_cos=bouldin_angle(a, b, cfg).cos_min_angle,
+        sigma_min_plus=float(fab.s[fab.rank - 1]) if fab.rank else math.nan,
+        ab_ep=within(fab.ep_residual, cfg.subspace_tol, "ep residual"),
         residuals=extra_residuals,
     )
 

@@ -4,10 +4,10 @@ Every downstream predicate is built on the single rank policy implemented
 here: singular values above ``rank_multiplier * eps * max(m, n) * sigma_max``
 count toward the rank, everything at or below does not.  A product or power
 of unit-scaled factors is decided against its unit scale in place of
-``sigma_max``.  The one
-:class:`RankDecision` of a matrix's factorization
-(:class:`eplab.subspaces.Factorization`) is threaded through its
-range/kernel/pseudoinverse, which keeps all of them consistent.
+``sigma_max``.  This module makes no SVD: the singular values come from a
+matrix's one factorization (:class:`eplab.subspaces.Factorization`), whose
+:class:`RankDecision` is threaded through its range/kernel/pseudoinverse,
+which keeps all of them consistent.
 """
 
 from dataclasses import dataclass
@@ -68,30 +68,21 @@ class RankDecision:
     threshold: float
 
 
-def rank_threshold(singular_values, shape, cfg=DEFAULT_TOLERANCES):
-    """Cutoff below which singular values are treated as zero."""
-    if len(singular_values) == 0:
-        return 0.0
-    sigma_max = float(singular_values[0])
-    return cfg.rank_multiplier * _EPS * max(shape) * sigma_max
+def rank_threshold(scale, shape, cfg=DEFAULT_TOLERANCES):
+    """Cutoff at or below which singular values count as zero, against ``scale``."""
+    return cfg.rank_multiplier * _EPS * max(shape) * scale
 
 
 def decide_rank(singular_values, shape, cfg=DEFAULT_TOLERANCES, scale=None):
-    """Rank decision on ``singular_values``, against the largest of them or,
-    when ``scale`` is given, against that scale (see :func:`factor
-    <eplab.subspaces.factor>`)."""
+    """Rank decision on ``singular_values``, against the largest of them (0
+    when there are none) or, when ``scale`` is given, against that scale
+    (see :func:`factor <eplab.subspaces.factor>`)."""
     s = np.asarray(singular_values, dtype=np.float64)
-    tol = rank_threshold(s if scale is None else (scale,), shape, cfg)
+    if scale is None:
+        scale = float(s.max(initial=0.0))
+    tol = rank_threshold(scale, shape, cfg)
     rank = int(np.count_nonzero(s > tol))
     return RankDecision(rank=rank, singular_values=s, threshold=tol)
-
-
-def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
-    """Rank decision for ``m`` under the shared threshold policy, from its
-    singular values alone (no singular vectors)."""
-    m = as_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    return decide_rank(s, m.shape, cfg)
 
 
 def _psd_form(h, cfg):

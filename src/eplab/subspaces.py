@@ -51,11 +51,10 @@ class Subspace:
             )
         if k > n:
             raise InputError(f"basis has more columns ({k}) than ambient rows ({n})")
-        if k:
-            gram = basis.conj().T @ basis
-            defect = float(np.linalg.norm(gram - np.eye(k)))
-            if not within(defect, ORTHONORMALITY_TOL, "Gram defect"):
-                raise InputError("basis columns are not orthonormal")
+        gram = basis.conj().T @ basis
+        defect = float(np.linalg.norm(gram - np.eye(k)))
+        if not within(defect, ORTHONORMALITY_TOL, "Gram defect"):
+            raise InputError("basis columns are not orthonormal")
 
     @property
     def dim(self):
@@ -175,12 +174,19 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     ``u`` and ``vh`` are identities and ``s`` is zeros.
     """
     m = as_matrix(m)
-    if scale is None or np.linalg.norm(m) > rank_threshold((scale,), m.shape, cfg):
+    if scale is None or np.linalg.norm(m) > rank_threshold(scale, m.shape, cfg):
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
+
+
+def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
+    """``factor(m, cfg).decision``: the rank decision of ``m``'s one
+    factorization, which runs the full SVD, with m×m and n×n unitary
+    factors."""
+    return factor(m, cfg).decision
 
 
 def _factor_product(fa, fb, cfg):
@@ -276,14 +282,11 @@ class AngleReport:
 def projector(s, cfg=DEFAULT_TOLERANCES):
     """Orthogonal projector onto ``s`` as a dense matrix (Q Q*)."""
     q = s.basis
-    k = q.shape[1]
-    if k:
-        gram = q.conj().T @ q
-        defect = float(np.linalg.norm(gram - np.eye(k)))
-        if not within(defect, cfg.subspace_tol, "Gram defect"):
-            raise InputError("subspace basis is not orthonormal within tolerance")
-        return q @ q.conj().T
-    return np.zeros((s.ambient_dim, s.ambient_dim), dtype=np.complex128)
+    gram = q.conj().T @ q
+    defect = float(np.linalg.norm(gram - np.eye(q.shape[1])))
+    if not within(defect, cfg.subspace_tol, "Gram defect"):
+        raise InputError("subspace basis is not orthonormal within tolerance")
+    return q @ q.conj().T
 
 
 def range_basis(m, cfg=DEFAULT_TOLERANCES):
@@ -385,16 +388,13 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     """Angle controlling closedness of the product range of ``s @ t``.
 
     Computes V = N(s) ∩ R(t) and W, the complement of V inside N(s), then
-    reports the minimal angle between R(t) and W.  When W or R(t) is the
-    zero space there is no direction along which the product can degenerate,
-    and the report uses the convention cos 0 / angle π/2 instead of erroring.
+    reports the minimal angle between R(t) and W, reading N(s) and R(t)
+    from the memoized :func:`factor_pair`.  When W or R(t) is the zero space
+    there is no direction along which the product can degenerate, and the
+    report uses the convention cos 0 / angle π/2 instead of erroring.
     """
-    s, t = require_pair(s, t)
-    return _bouldin_angle(kernel_basis(s, cfg), range_basis(t, cfg), cfg)
-
-
-def _bouldin_angle(ns, rt, cfg):
-    """:func:`bouldin_angle` from the subspaces N(s) and R(t)."""
+    pair = factor_pair(s, t, cfg)
+    ns, rt = pair.fa.kernel, pair.fb.range
     v = intersect(ns, rt, cfg)
     w = intersect(ns, _orth(v), cfg)  # the complement of V inside N(s)
     components = BouldinComponents(

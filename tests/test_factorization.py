@@ -23,6 +23,7 @@ from eplab import (
     product_range_identity,
     random_commuting_ep_pair,
     random_ep,
+    random_invariant_range_b,
     random_johnson_vinoth_pair,
     random_same_kernel_pair,
     random_unitary,
@@ -156,7 +157,7 @@ class TestRankZeroWithoutAnSvd:
 
     def test_just_above_the_threshold_is_factored(self, full_svds):
         m = _mixed(6, n=6, r=4)
-        threshold = rank_threshold((1.0,), m.shape, DEFAULT_TOLERANCES)
+        threshold = rank_threshold(1.0, m.shape, DEFAULT_TOLERANCES)
         m *= 1.01 * threshold / np.linalg.norm(m)
         full_svds.clear()
         f = factor(m, DEFAULT_TOLERANCES, 1.0)
@@ -190,6 +191,23 @@ def full_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return shapes
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """``compute_uv`` of every SVD from now on, singular-value-only ones
+    included, those inside ``np.linalg.cond`` too."""
+    svd = np.linalg.svd
+    calls = []
+
+    def recording_svd(m, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    # cond calls the svd of numpy's implementation module
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
+    return calls
 
 
 @pytest.fixture
@@ -250,6 +268,24 @@ def test_full_svd_count(name, full_svds, forget_pair):
     full_svds.clear()
     calls[name]()
     assert len(full_svds) == SVD_COUNTS[name]
+
+
+# every SVD of one cold call, singular-value-only ones included, as
+# (all, full): the sweep's sigma_min_plus and EP flag read AB's one
+# factorization, with the minimal angle and AB's EP residual as the rest;
+# the invariant-range generator decides its coefficient block's rank by its
+# factorization and checks R(AB) against the span it drew, not R(B) again
+# (here the one singular-value-only SVD is its eigenbasis's cond).
+def test_every_svd_of_the_sweep(svd_calls):
+    sweep("shift_block", [2, 3, 4])
+    assert (len(svd_calls), sum(svd_calls)) == (21, 12)
+
+
+def test_every_svd_of_the_invariant_range_generator(svd_calls):
+    a = random_ep(6, 3, 1, cond_cap=1e2)
+    svd_calls.clear()
+    random_invariant_range_b(a, 2)
+    assert (len(svd_calls), sum(svd_calls)) == (4, 3)
 
 
 # exact eigvalsh counts: classify makes one eigensolve, for the hypo-EP

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eplab
 from eplab import (
-    DEFAULT_TOLERANCES, InputError, ToleranceConfig, numerical_rank, pinv, psd_check,
-    random_unitary,
+    DEFAULT_TOLERANCES, InputError, ToleranceConfig, factor, numerical_rank, pinv,
+    psd_check, random_unitary,
 )
 from eplab.kernel import as_matrix, psd_spectrum, rank_threshold
 
@@ -60,6 +63,16 @@ class TestNumericalRank:
         m = np.diag([1.0, 1e-6]).astype(complex)
         assert numerical_rank(m).rank == 2
         assert numerical_rank(m, cfg).rank == 1
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 7), (0, 4)])
+    def test_is_the_factorization_decision(self, shape):
+        # one rank decision per matrix: the same singular values, rank and
+        # threshold, bit for bit, as the factorization every view reads
+        m = random_matrix(np.random.default_rng(8), *shape)
+        decision, f = numerical_rank(m), factor(m)
+        np.testing.assert_array_equal(decision.singular_values, f.s)
+        assert (decision.rank, decision.threshold) == (f.rank, f.decision.threshold)
+        assert decision.threshold == rank_threshold(f.s.max(initial=0.0), shape)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
@@ -176,4 +189,12 @@ class TestAsMatrix:
 
     def test_empty_shapes_allowed(self):
         assert as_matrix(np.zeros((0, 4))).shape == (0, 4)
-        assert rank_threshold(np.array([]), (0, 4)) == 0.0
+        assert numerical_rank(np.zeros((0, 4))).threshold == 0.0
+
+
+def test_only_subspaces_calls_the_svd():
+    # subspaces is the one home of factorizations, cross-matrix norms and
+    # completed complements; an SVD anywhere else would be a second rank path
+    src = Path(eplab.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py")) if "linalg.svd" in p.read_text()]
+    assert callers == ["subspaces.py"]

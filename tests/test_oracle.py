@@ -3,11 +3,20 @@
 Each fact below is a rank equality, so it is decided exactly from a
 fraction-free (Bareiss) elimination over Python ints:
 
-- EP:       R(M) = R(M*)           iff rank [M, M*] = rank M
+- EP:       R(M) = R(M*)           iff rank [M, M*] = rank M; on C^n
+            posinormal, coposinormal and hypo-EP are each EP
+- quasiposinormal: N(M) ⊆ N(M*)    iff rank [M; M*] = rank M
+- EP_r:     N(M) = N(Mᵀ)           iff rank [M; Mᵀ] = rank M
 - cond_i:   R(AB) ⊆ R(B)           iff rank [B, AB] = rank B
 - cond_ii:  N(A) ⊆ N(AB)           iff rank [A; AB] = rank A
+- range identity: R(AB) = R(A) ∩ R(B)
+            iff cond_i and rank AB = rank A + rank B − rank [A, B]
+- kernel identity: N(AB) = N(A) + N(B)
+            iff cond_ii and nullity AB = nullity A + nullity B − nullity [A; B]
 - group invertible (all three faces of the squaring check)
                                    iff rank A² = rank A
+
+Normality, M M* = M* M, is decided by exact equality of the two products.
 
 A complex matrix X + iY has rank half that of its real form
 [[X, -Y], [Y, X]].  Draws are n = 1..5 with real and imaginary parts in
@@ -80,8 +89,8 @@ def _draw(rng, n):
 
 def _disagreements(a, b):
     """(fact, numerical, exact) for every fact the two decide differently."""
-    ab, a2 = a @ b, a @ a
-    rank_a, rank_b = _rank(a), _rank(b)
+    n, ab, a2 = len(a), a @ b, a @ a
+    rank_a, rank_b, rank_ab = _rank(a), _rank(b), _rank(ab)
     exact_hk = {
         "cond_i": _rank(np.hstack([b, ab])) == rank_b,
         "cond_ii": _rank(np.vstack([a, ab])) == rank_a,
@@ -89,6 +98,12 @@ def _disagreements(a, b):
         "a_ep": _ep(a),
         "b_ep": _ep(b),
     }
+    exact_hk["range_identity"] = exact_hk["cond_i"] and (
+        rank_ab == rank_a + rank_b - _rank(np.hstack([a, b]))
+    )
+    exact_hk["kernel_identity"] = exact_hk["cond_ii"] and (
+        n - rank_ab == (n - rank_a) + (n - rank_b) - (n - _rank(np.vstack([a, b])))
+    )
     report = hartwig_katz(a, b)
     found = [(k, getattr(report, k), v) for k, v in exact_hk.items()]
     stable = _rank(a2) == rank_a
@@ -102,7 +117,20 @@ def _disagreements(a, b):
         (f"power_ep[{i}]", got, want)
         for i, (got, want) in enumerate(zip(power_ep(a, 3), exact_powers))
     ]
-    found.append(("classify.ep", classify(a).ep, exact_hk["a_ep"]))
+    a_ep, a_adj = exact_hk["a_ep"], a.conj().T
+    exact_classify = {
+        "normal": np.array_equal(a @ a_adj, a_adj @ a),
+        "quasiposinormal": _rank(np.vstack([a, a_adj])) == rank_a,
+        "posinormal": a_ep,
+        "coposinormal": a_ep,
+        "ep": a_ep,
+        "hypo_ep": a_ep,
+        "ep_r": _rank(np.vstack([a, a.T])) == rank_a,
+    }
+    flags = classify(a)
+    found += [
+        (f"classify.{k}", getattr(flags, k), v) for k, v in exact_classify.items()
+    ]
     return [f for f in found if f[1] != f[2]]
 
 
@@ -134,7 +162,7 @@ class TestExactRank:
 
 
 def test_decisions_match_the_exact_oracle():
-    # 600 draws, 12 facts each
+    # 600 draws, 20 facts each
     rng = np.random.default_rng(20260810)
     wrong = []
     for draw in range(600):
