@@ -23,7 +23,6 @@ from .generators import (
     random_commuting_ep_pair,
     random_ep,
     random_invariant_range_b,
-    random_johnson_vinoth_pair,
     random_same_kernel_pair,
     random_unitary,
 )
@@ -69,6 +68,10 @@ def _pick_dim(rng, dims):
     return int(dims[int(rng.integers(0, len(dims)))])
 
 
+def _ep(rng, n):
+    return random_ep(n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP)
+
+
 def _mixed_square(rng, n):
     """Random square matrix mixing invertible, EP, generic rank-deficient,
     and nilpotent draws so both truth values of each predicate occur."""
@@ -76,8 +79,7 @@ def _mixed_square(rng, n):
     if kind == 0:
         return _complex_gaussian(rng, n, n)
     if kind == 1:
-        r = int(rng.integers(0, n + 1))
-        return random_ep(n, r, rng, cond_cap=_PAIR_COND_CAP)
+        return _ep(rng, n)
     if kind == 2:
         r = int(rng.integers(0, n + 1))
         return _complex_gaussian(rng, n, r) @ _complex_gaussian(rng, r, n)
@@ -88,8 +90,7 @@ def _mixed_square(rng, n):
 
 def _t_hartwig_katz(rng, dims, cfg):
     n = _pick_dim(rng, dims)
-    a = random_ep(n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP)
-    b = random_ep(n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP)
+    a, b = _ep(rng, n), _ep(rng, n)
     report = hartwig_katz(a, b, cfg)
     violations = []
     if report.ab_ep != (report.cond_i and report.cond_ii):
@@ -108,8 +109,7 @@ def _t_group_invertible(rng, dims, cfg):
 
 
 def _t_invariant_range(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
-    a = random_ep(n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP)
+    a = _ep(rng, _pick_dim(rng, dims))
     b = random_invariant_range_b(a, rng, cfg)
     report = product_range_identity(a, b, cfg)
     violations = []
@@ -121,16 +121,19 @@ def _t_invariant_range(rng, dims, cfg):
 
 
 def _t_same_kernel(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
-    a, b = random_same_kernel_pair(
-        n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP
-    )
+    a, b = _same_kernel_pair(rng, dims)
     violations = []
     for tag, product in (("ab_ep", a @ b), ("ba_ep", b @ a)):
         ep, residual = is_ep(product, cfg)
         if not ep:
             violations.append((tag, {"residual": residual}))
     return violations, 2
+
+
+def _same_kernel_pair(rng, dims):
+    n = _pick_dim(rng, dims)
+    r = int(rng.integers(0, n + 1))
+    return random_same_kernel_pair(n, r, rng, cond_cap=_PAIR_COND_CAP)
 
 
 def _commuting_pair(rng, dims):
@@ -174,9 +177,8 @@ def _t_commuting_ep(rng, dims, cfg):
 
 
 def _t_johnson_vinoth(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
-    a = random_ep(n, int(rng.integers(0, n + 1)), rng, cond_cap=_PAIR_COND_CAP)
-    b = random_johnson_vinoth_pair(a, rng, cond_cap=_PAIR_COND_CAP)
+    # EP matrices sharing their kernel (so their range) meet both hypotheses
+    a, b = _same_kernel_pair(rng, dims)
     report = johnson_vinoth_check(a, b, cfg)
     violations = []
     if not (report.hyp_range and report.hyp_kernel):

@@ -81,8 +81,6 @@ def random_unitary(n, seed=None):
     """Haar-like random unitary: QR of a complex Gaussian with the phases
     fixed so the triangular factor has positive real diagonal."""
     rng = _rng(seed)
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     z = _complex_gaussian(rng, n, n)
     q, r = np.linalg.qr(z)
     d = np.diag(r).copy()
@@ -91,7 +89,10 @@ def random_unitary(n, seed=None):
 
 
 def _invertible_core(rng, r, cond_cap):
-    """Complex Gaussian r x r, resampled until cond <= cond_cap."""
+    """Complex Gaussian r x r, resampled until cond <= cond_cap.  Every core
+    is drawn here, so here the cap is checked to exceed 1, at rank 0 too."""
+    if cond_cap <= 1.0:
+        raise InputError("cond_cap must exceed 1")
     if r == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     for _ in range(_MAX_REJECTION_TRIES):
@@ -109,10 +110,9 @@ def _validate_rank(n, r):
 
 
 def random_ep(n, r, seed=None, cond_cap=1e4):
-    """Random EP matrix of exact rank r: U (C ⊕ 0) U* with C invertible."""
+    """Random EP matrix of exact rank r: U (C ⊕ 0) U* with C invertible,
+    drawn under ``cond_cap``, which must exceed 1."""
     _validate_rank(n, r)
-    if cond_cap <= 1.0:
-        raise InputError("cond_cap must exceed 1")
     rng = _rng(seed)
     u = random_unitary(n, rng)
     c = _invertible_core(rng, r, cond_cap)
@@ -203,9 +203,8 @@ def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
         return a.copy()
     rng = _rng(seed)
     for _ in range(64):
+        # never {0}: it spans unit eigenvectors or a Krylov chain from a unit vector
         s = _random_invariant_subspace(a, rng)
-        if s.dim == 0:
-            continue
         m = _complex_gaussian(rng, s.dim, n)
         if numerical_rank(m, cfg).rank < s.dim:
             continue

@@ -7,19 +7,13 @@ Residuals are normalized by powers of the spectral norm, so classify(c*M)
 agrees with classify(M) for any nonzero scalar c.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
 from .subspaces import _spanned, equality_residual, factor, inclusion_residual
-
-# the eight predicate flags of a ClassificationReport, in report order
-FLAG_NAMES = (
-    "normal", "hyponormal", "quasiposinormal", "posinormal",
-    "coposinormal", "ep", "hypo_ep", "ep_r",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +32,10 @@ class ClassificationReport:
     conflicts: list
 
 
+# the eight predicate flags of a ClassificationReport, in report order
+FLAG_NAMES = tuple(f.name for f in fields(ClassificationReport) if f.type is bool)
+
+
 def classify(m, cfg=DEFAULT_TOLERANCES):
     """Full predicate battery for one square matrix."""
     f = factor(require_square(m), cfg)
@@ -45,7 +43,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep, min_eig = f.hypo_ep(cfg, psd_spectrum)
+    hypo_ep, min_eig = psd_spectrum(f.hermitian_commutator, cfg)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
     ker_t = _spanned(f.cokernel.basis.conj(), f.range.basis.conj())
 
@@ -59,7 +57,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "ep_r_equality": equality_residual(f.kernel, ker_t),
     }
     gate = within_each(residuals, cfg.subspace_tol)
-    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol in f.hypo_ep
+    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol above
     posinormal, ep = gate["posinormal_inclusion"], gate["ep_equality"]
     ep_proj = gate["projector_commutator"]
 

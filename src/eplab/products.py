@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
-from .kernel import require_square
+from .kernel import psd_check, require_square
 from .subspaces import (
     equality_residual,
     factor,
@@ -165,7 +165,7 @@ def _johnson_vinoth(pair):
     }
     return JohnsonVinothReport(
         **within_each(residuals, pair.cfg.subspace_tol),
-        ab_hypo_ep=pair.fab.hypo_ep(pair.cfg),
+        ab_hypo_ep=psd_check(pair.fab.hermitian_commutator, pair.cfg),
         residuals=residuals,
     )
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .kernel import embed
 from .subspaces import Factorization, factor, factor_pair, inclusion_residual, intersect
 
 
@@ -195,11 +194,6 @@ def posinormal_product_conditions(dec):
     )
 
 
-def embed_core(dec, core):
-    """Map an r x r core block back to the full space: U (core ⊕ 0) U*."""
-    return embed(dec.basis_u, core)
-
-
 __all__ = [
     "BlockDecomposition",
     "InclusionReport",
@@ -207,5 +201,4 @@ __all__ = [
     "decompose_pair",
     "block_kernel_inclusions",
     "posinormal_product_conditions",
-    "embed_core",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
-    RankDecision, as_matrix, decide_rank, psd_check, rank_threshold, require_pair,
+    RankDecision, as_matrix, decide_rank, rank_threshold, require_pair,
 )
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +137,12 @@ class Factorization:
         """``pinv @ m - m @ pinv``: zero exactly when m is EP."""
         return self.pinv @ self.m - self.m @ self.pinv
 
-    def hypo_ep(self, cfg, test=psd_check):
-        """Is m hypo-EP, its projector commutator PSD?  ``test`` of the
-        commutator's Hermitian part, which absorbs matmul roundoff:
-        :func:`~eplab.kernel.psd_check` gives the flag from one Cholesky,
-        :func:`~eplab.kernel.psd_spectrum` the flag and the smallest
-        eigenvalue, for a report that shows it."""
+    @property
+    def hermitian_commutator(self):
+        """Hermitian part of the projector commutator, PSD iff m is hypo-EP;
+        it absorbs matmul roundoff the PSD tests would reject as non-Hermitian."""
         d = self.projector_commutator
-        return test(0.5 * (d + d.conj().T), cfg)
+        return 0.5 * (d + d.conj().T)
 
     @cached_property
     def unit(self):

@@ -32,6 +32,7 @@ from eplab import (
 )
 from eplab import subspaces
 from eplab.cli import main
+from eplab.fuzz import SUITES, run_trial
 from eplab.kernel import rank_threshold
 from eplab.subspaces import equality_residual, kernel_basis
 
@@ -362,6 +363,30 @@ def test_johnson_vinoth_generator_factors_once(full_svds):
     full_svds.clear()
     random_johnson_vinoth_pair(a, 1)
     assert full_svds == [(5, 5)]
+
+
+# every nonzero matrix a fuzz trial gives a full SVD is given one once;
+# a zero matrix may be factored as two operands (A = B = 0 in a rank-0
+# pair), and invariant_range still refactors an M that eig(0) = I maps to
+# itself as B = S M
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"invariant_range"}))
+def test_each_fuzz_trial_factors_each_matrix_once(suite, monkeypatch):
+    svd = np.linalg.svd
+    factored = []
+
+    def hashing_svd(m, *args, **kwargs):
+        if kwargs.get("compute_uv", True) and np.any(m):
+            factored.append((np.shape(m), np.ascontiguousarray(m).tobytes()))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", hashing_svd)
+    repeats = {}
+    for trial in range(100):
+        factored.clear()
+        run_trial(suite, 20260810, trial, range(2, 9))
+        if len(set(factored)) < len(factored):
+            repeats[trial] = len(factored) - len(set(factored))
+    assert repeats == {}
 
 
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):

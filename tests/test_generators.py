@@ -112,6 +112,33 @@ class TestPairs:
             random_johnson_vinoth_pair(j, seed=0)
 
 
+# each generator drawing a core under cond_cap, as f(rank, cond_cap) at n = 4;
+# the commuting pair rejects rank 0 itself, and at rank 4 the EP block on its
+# complement has rank 0
+_CAPPED = {
+    "random_ep": lambda r, cap: random_ep(4, r, 0, cap),
+    "random_same_kernel_pair": lambda r, cap: random_same_kernel_pair(4, r, 0, cap),
+    "random_commuting_ep_pair": lambda r, cap: random_commuting_ep_pair(
+        4, r or 4, 0, cap
+    ),
+    "random_johnson_vinoth_pair": lambda r, cap: random_johnson_vinoth_pair(
+        random_ep(4, r, 1), 0, cap
+    ),
+}
+
+
+class TestConditionCap:
+    # no condition number is below 1, so a cap of 1 or less is an input
+    # error at once, never a spin through the rejection sampler, and at
+    # rank 0 too, where no core is sampled
+    @pytest.mark.parametrize("cap", [1.0, 0.5])
+    @pytest.mark.parametrize("rank", [0, 2])
+    @pytest.mark.parametrize("name", sorted(_CAPPED))
+    def test_a_cap_of_at_most_one_is_rejected(self, name, rank, cap):
+        with pytest.raises(InputError, match="^cond_cap must exceed 1$"):
+            _CAPPED[name](rank, cap)
+
+
 class TestInvariantRange:
     @pytest.mark.parametrize("seed", range(8))
     def test_hypothesis_holds_on_every_draw(self, seed):

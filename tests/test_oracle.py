@@ -169,3 +169,21 @@ def test_decisions_match_the_exact_oracle():
         n = int(rng.integers(1, 6))
         wrong += [(draw, *f) for f in _disagreements(_draw(rng, n), _draw(rng, n))]
     assert wrong == []
+
+
+def test_complex_symmetric_draws_separate_ep_r_from_ep():
+    # A = L·Lᵀ equals its transpose, so N(A) = N(Aᵀ) (EP_r), while R(A) and
+    # R(A*) often differ: on such draws an EP_r decided from N(A*) in place
+    # of N(Aᵀ) is wrong, which the draws above never show
+    rng = np.random.default_rng(49)
+    wrong, separated = [], 0
+    for draw in range(300):
+        n = int(rng.integers(1, 6))
+        l = _gaussian_ints(rng, n, int(rng.integers(1, n + 1)))
+        a = l @ l.T
+        exact = {"ep_r": _rank(np.vstack([a, a.T])) == _rank(a), "ep": _ep(a)}
+        separated += exact["ep_r"] != exact["ep"]
+        report = classify(a)
+        wrong += [(draw, k, v) for k, v in exact.items() if getattr(report, k) != v]
+    assert wrong == []
+    assert separated >= 0.15 * 300

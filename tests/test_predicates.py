@@ -5,8 +5,10 @@ from eplab import (
     InputError,
     classify,
     equals,
+    johnson_vinoth_check,
     kernel_basis,
     random_ep,
+    random_unitary,
 )
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -130,6 +132,21 @@ class TestHypoEp:
 
     def test_shear_first_product(self):
         assert classify(G @ P).hypo_ep is True
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 96])
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_ill_conditioned_matrices_are_decided(self, n, k):
+        # rank n/2 with condition 10^k: the projector commutator's roundoff
+        # leaves it farther from Hermitian than the PSD bound allows, so
+        # both PSD tests must see its Hermitian part, not raise on it
+        rng = np.random.default_rng(0)
+        r = n // 2
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        m = (u[:, :r] * np.logspace(0, -k, r)) @ v[:, :r].conj().T
+        report = classify(m)
+        # generic, so neither M nor M² is EP, which is hypo-EP on C^n
+        assert (report.rank.rank, report.hypo_ep, report.conflicts) == (r, False, [])
+        assert not johnson_vinoth_check(m, m).ab_hypo_ep
 
 
 class TestFiniteDimensionalCollapse:

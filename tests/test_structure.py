@@ -14,7 +14,7 @@ from eplab import (
     random_ep,
     random_same_kernel_pair,
 )
-from eplab.structure import embed_core
+from eplab.kernel import embed
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # the spectral norm of the 2x2 shear
 
@@ -63,14 +63,14 @@ class TestDecompose:
     def test_reconstruction_of_reduced_operand(self):
         a, b = random_commuting_ep_pair(7, 4, seed=5)
         dec = decompose_pair(a, b)
-        rebuilt = embed_core(dec, dec.block_a_prime)
+        rebuilt = embed(dec.basis_u, dec.block_a_prime)
         unit_a = a / np.linalg.norm(a, 2)
         assert np.linalg.norm(unit_a - rebuilt) <= 1e-10 * np.linalg.norm(unit_a)
 
     def test_product_reconstruction_for_commuting_ep(self):
         a, b = random_commuting_ep_pair(6, 3, seed=8)
         dec = decompose_pair(a, b)
-        product = embed_core(dec, dec.block_a_prime @ dec.block_b_prime)
+        product = embed(dec.basis_u, dec.block_a_prime @ dec.block_b_prime)
         unit_ab = (a / np.linalg.norm(a, 2)) @ (b / np.linalg.norm(b, 2))
         assert np.linalg.norm(unit_ab - product) <= 1e-8
 
