@@ -72,7 +72,6 @@ from .generators import (
     random_commuting_ep_pair,
     random_ep,
     random_invariant_range_b,
-    random_johnson_vinoth_pair,
     random_same_kernel_pair,
     random_unitary,
     shift_block_pair,

@@ -1,11 +1,17 @@
 """Seeded theorem-fuzzing harness.
 
-Each suite draws structured random inputs and checks one theorem's
-conclusion; any failure is recorded as a :class:`Violation` carrying the
-per-trial seed and the residuals needed to replay and triage it.  Trial
-seeds are derived as ``SeedSequence((master_seed, trial_index))``, so runs
-are reproducible and independent of how trials are scheduled; parallel runs
-collect results in trial order and are result-identical to sequential ones.
+A suite is its list of named checks: a trial draws structured random
+inputs and returns one ``(kind, holds, details)`` record per check.  Each
+failed check is one :class:`Violation`, with the per-trial seed and the
+residuals needed to replay and triage it.  A trial makes two checks in
+``same_kernel`` and ``commuting_ep``, four in ``block_kernels`` (one when
+its applicability gate raises) and ``collapse``, five in ``powers`` (one
+per power) and one elsewhere.
+
+Trial seeds are derived as ``SeedSequence((master_seed, trial_index))``, so
+runs are reproducible and independent of how trials are scheduled; parallel
+runs collect results in trial order and are result-identical to sequential
+ones.
 
 Invertible cores drawn inside the suites are condition-capped more tightly
 than the generator defaults (products multiply condition numbers; the
@@ -90,44 +96,32 @@ def _mixed_square(rng, n):
 
 def _t_hartwig_katz(rng, dims, cfg):
     n = _pick_dim(rng, dims)
-    a, b = _ep(rng, n), _ep(rng, n)
-    report = hartwig_katz(a, b, cfg)
-    violations = []
-    if report.ab_ep != (report.cond_i and report.cond_ii):
-        violations.append(("biconditional", report.residuals))
-    return violations, 1
+    report = hartwig_katz(_ep(rng, n), _ep(rng, n), cfg)
+    holds = report.ab_ep == (report.cond_i and report.cond_ii)
+    return [("biconditional", holds, report.residuals)]
 
 
 def _t_group_invertible(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
-    a = _mixed_square(rng, n)
-    report = group_invertible_check(a, cfg)
-    violations = []
-    if not (report.kernel_stable == report.range_stable == report.rank_stable):
-        violations.append(("equivalence", report.residuals))
-    return violations, 1
+    report = group_invertible_check(_mixed_square(rng, _pick_dim(rng, dims)), cfg)
+    holds = report.kernel_stable == report.range_stable == report.rank_stable
+    return [("equivalence", holds, report.residuals)]
 
 
 def _t_invariant_range(rng, dims, cfg):
     a = _ep(rng, _pick_dim(rng, dims))
-    b = random_invariant_range_b(a, rng, cfg)
-    report = product_range_identity(a, b, cfg)
-    violations = []
-    if not report.hypothesis:
-        violations.append(("hypothesis", report.residuals))
-    elif not report.conclusion:
-        violations.append(("conclusion", report.residuals))
-    return violations, 1
+    report = product_range_identity(a, random_invariant_range_b(a, rng, cfg), cfg)
+    # the conclusion is checked only where the hypothesis holds
+    kind = "conclusion" if report.hypothesis else "hypothesis"
+    return [(kind, report.hypothesis and report.conclusion, report.residuals)]
 
 
 def _t_same_kernel(rng, dims, cfg):
     a, b = _same_kernel_pair(rng, dims)
-    violations = []
+    records = []
     for tag, product in (("ab_ep", a @ b), ("ba_ep", b @ a)):
         ep, residual = is_ep(product, cfg)
-        if not ep:
-            violations.append((tag, {"residual": residual}))
-    return violations, 2
+        records.append((tag, ep, {"residual": residual}))
+    return records
 
 
 def _same_kernel_pair(rng, dims):
@@ -145,116 +139,86 @@ def _commuting_pair(rng, dims):
 def _t_commuting_posinormal(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
     residual = factor(a @ b, cfg).posinormal_residual
-    violations = []
-    if not within(residual, cfg.subspace_tol, "posinormal_inclusion"):
-        violations.append(("product_posinormal", {"residual": residual}))
-    return violations, 1
+    holds = within(residual, cfg.subspace_tol, "posinormal_inclusion")
+    return [("product_posinormal", holds, {"residual": residual})]
 
 
 def _t_commuting_ep(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
-    ab, ba = a @ b, b @ a
-    report = classify(ab, cfg)
-    violations = []
-    if not (report.posinormal and report.coposinormal and report.ep):
-        violations.append(
-            (
-                "product_ep",
-                {
-                    "posinormal_residual": report.residuals["posinormal_inclusion"],
-                    "coposinormal_residual": report.residuals["coposinormal_inclusion"],
-                },
-            )
-        )
+    report = classify(a @ b, cfg)
+    res = report.residuals
     # classify's EP flag and residual are is_ep's: the same ep_residual of AB
-    ep_ab, res_ab = report.ep, report.residuals["ep_equality"]
-    ep_ba, res_ba = is_ep(ba, cfg)
-    if ep_ab != ep_ba:
-        violations.append(
-            ("order_agreement", {"ab_residual": res_ab, "ba_residual": res_ba})
-        )
-    return violations, 2
+    ep_ba, res_ba = is_ep(b @ a, cfg)
+    product_ep = report.posinormal and report.coposinormal and report.ep
+    inclusions = {
+        "posinormal_residual": res["posinormal_inclusion"],
+        "coposinormal_residual": res["coposinormal_inclusion"],
+    }
+    orders = {"ab_residual": res["ep_equality"], "ba_residual": res_ba}
+    return [
+        ("product_ep", product_ep, inclusions),
+        ("order_agreement", report.ep == ep_ba, orders),
+    ]
 
 
 def _t_johnson_vinoth(rng, dims, cfg):
     # EP matrices sharing their kernel (so their range) meet both hypotheses
-    a, b = _same_kernel_pair(rng, dims)
-    report = johnson_vinoth_check(a, b, cfg)
-    violations = []
-    if not (report.hyp_range and report.hyp_kernel):
-        violations.append(("hypotheses", report.residuals))
-    elif not report.ab_hypo_ep:
-        violations.append(("product_hypo_ep", report.residuals))
-    return violations, 1
+    report = johnson_vinoth_check(*_same_kernel_pair(rng, dims), cfg)
+    hypotheses = report.hyp_range and report.hyp_kernel
+    kind = "product_hypo_ep" if hypotheses else "hypotheses"
+    return [(kind, hypotheses and report.ab_hypo_ep, report.residuals)]
 
 
 def _t_powers(rng, dims, cfg):
     n = _pick_dim(rng, dims)
     r = int(rng.integers(0, min(n, _POWER_MAX_RANK) + 1))
-    a = random_ep(n, r, rng, cond_cap=_POWER_COND_CAP)
-    flags = power_ep(a, 5, cfg)
-    violations = []
-    if not all(flags):
-        violations.append(
-            ("power_ep", {"flags": "".join("1" if f else "0" for f in flags)})
-        )
-    return violations, len(flags)
+    flags = power_ep(random_ep(n, r, rng, cond_cap=_POWER_COND_CAP), 5, cfg)
+    return [("power_ep", flag, {"power": k}) for k, flag in enumerate(flags, 1)]
 
 
 def _t_block_kernels(rng, dims, cfg):
-    a, b = _commuting_pair(rng, dims)
-    dec = decompose_pair(a, b, cfg)
-    violations = []
+    dec = decompose_pair(*_commuting_pair(rng, dims), cfg)
     try:
         report = block_kernel_inclusions(dec)
     except InapplicableError as exc:
-        violations.append(("applicability", {"error": str(exc), **dec.residuals}))
-        return violations, 1
-    if not report.kernel_z_included:
-        violations.append(("kernel_z", {"residual": report.kernel_z_residual}))
-    if not report.kernel_bprime_included:
-        violations.append(("kernel_bprime", {"residual": report.kernel_bprime_residual}))
+        return [("applicability", False, {"error": str(exc), **dec.residuals})]
     conditions = posinormal_product_conditions(dec)
-    if not conditions.y_zero:
-        violations.append(("y_zero", {"y_norm": conditions.y_norm}))
     x_norm = float(np.linalg.norm(dec.block_x))
-    if not within(x_norm, cfg.subspace_tol, "x_norm"):
-        violations.append(("x_zero", {"x_norm": x_norm}))
-    return violations, 4
+    x_zero = within(x_norm, cfg.subspace_tol, "x_norm")
+    return [
+        ("kernel_z", report.kernel_z_included, {"residual": report.kernel_z_residual}),
+        (
+            "kernel_bprime",
+            report.kernel_bprime_included,
+            {"residual": report.kernel_bprime_residual},
+        ),
+        ("y_zero", conditions.y_zero, {"y_norm": conditions.y_norm}),
+        ("x_zero", x_zero, {"x_norm": x_norm}),
+    ]
 
 
 def _t_collapse(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
-    m = _mixed_square(rng, n)
-    report = classify(m, cfg)
-    violations = []
-    flags = (report.quasiposinormal, report.posinormal, report.hypo_ep, report.ep)
-    if len(set(flags)) != 1:
-        violations.append(
-            (
-                "flag_collapse",
-                {
-                    "quasiposinormal": flags[0],
-                    "posinormal": flags[1],
-                    "hypo_ep": flags[2],
-                    "ep": flags[3],
-                    **{k: v for k, v in report.residuals.items()},
-                },
-            )
-        )
-    if report.hyponormal != report.normal:
-        violations.append(
-            ("hyponormal_normal", {"commutator": report.residuals["commutator"]})
-        )
+    report = classify(_mixed_square(rng, _pick_dim(rng, dims)), cfg)
+    res, conflicts = report.residuals, report.conflicts
+    flags = {
+        "quasiposinormal": report.quasiposinormal,
+        "posinormal": report.posinormal,
+        "hypo_ep": report.hypo_ep,
+        "ep": report.ep,
+    }
     # the projector route to EP: classify's projector commutator residual
-    # under subspace_tol, which hypo-EP must agree with
-    res_proj = report.residuals["projector_commutator"]
+    # under subspace_tol, which hypo-EP must agree with unless classify
+    # already reports a conflict
+    res_proj = res["projector_commutator"]
     ep_proj = within(res_proj, cfg.subspace_tol, "projector_commutator")
-    if report.hypo_ep != ep_proj and not report.conflicts:
-        violations.append(("route_agreement", {"projector_residual": res_proj}))
-    if report.conflicts:
-        violations.append(("classification_conflict", {"conflicts": "; ".join(report.conflicts)}))
-    return violations, 4
+    routes_agree = report.hypo_ep == ep_proj or bool(conflicts)
+    normal_agree = report.hyponormal == report.normal
+    return [
+        ("flag_collapse", len(set(flags.values())) == 1, {**flags, **res}),
+        ("hyponormal_normal", normal_agree, {"commutator": res["commutator"]}),
+        ("route_agreement", routes_agree, {"projector_residual": res_proj}),
+        ("classification_conflict", not conflicts, {"conflicts": "; ".join(conflicts)}),
+    ]
 
 
 SUITES = {
@@ -286,19 +250,18 @@ def _suite(name):
 
 
 def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):
-    """One trial, fully determined by (suite, master_seed, trial, dims)."""
+    """One trial, fully determined by (suite, master_seed, trial, dims):
+    its violations, one for each failed check in check order, and its
+    number of checks."""
     rng = np.random.default_rng(trial_seed(master_seed, trial))
-    raw, checks = _suite(suite)(rng, tuple(dims), cfg)
+    records = _suite(suite)(rng, tuple(dims), cfg)
+    seed = (int(master_seed), int(trial))
     violations = [
-        Violation(
-            trial=trial,
-            seed=(int(master_seed), int(trial)),
-            kind=kind,
-            details=dict(details),
-        )
-        for kind, details in raw
+        Violation(trial=trial, seed=seed, kind=kind, details=dict(details))
+        for kind, holds, details in records
+        if not holds
     ]
-    return violations, checks
+    return violations, len(records)
 
 
 def _worker(args):
@@ -327,16 +290,11 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks, chunksize=chunksize))
 
-    violations = []
-    checks = 0
-    for trial_violations, trial_checks in results:
-        violations.extend(trial_violations)
-        checks += trial_checks
     return FuzzOutcome(
         suite=suite,
         trials=trials,
         dims=dims,
         seed=int(seed),
-        checks=checks,
-        violations=tuple(violations),
+        checks=sum(checks for _, checks in results),
+        violations=tuple(v for vs, _ in results for v in vs),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, within
-from .errors import InapplicableError, InputError
+from .errors import InputError
 from .kernel import embed, require_square
 from .subspaces import (
     Subspace,
@@ -155,23 +155,6 @@ def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
     a = embed(u, _invertible_core(rng, r, cond_cap))
     b = embed(u, _invertible_core(rng, r, cond_cap))
     return a, b
-
-
-def random_johnson_vinoth_pair(a, seed=None, cond_cap=1e4):
-    """Random B with R(B) ⊆ R(A) and N(B) ⊆ N(A), for an EP input A.
-
-    In finite dimensions these hypotheses force equality of ranges and of
-    kernels, which is what the construction realizes: B shares A's
-    splitting, with a fresh invertible core.
-    """
-    a = require_square(a)
-    f = factor(a)
-    residual = f.ep_residual
-    if not within(residual, DEFAULT_TOLERANCES.subspace_tol, "ep residual"):
-        raise InapplicableError(f"input must be EP (residual {residual:.3e})")
-    rng = _rng(seed)
-    u = f.vh.conj().T  # [Q | K], Q spanning R(A*) = R(A)
-    return embed(u, _invertible_core(rng, f.rank, cond_cap))
 
 
 def _random_invariant_subspace(a, rng):

@@ -41,7 +41,9 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     f = factor(require_square(m), cfg)
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
-    hyponormal = psd_check(-commutator, cfg)  # m*m - m m* up to sign convention
+    # m*m - m m*, by its exact Hermitian part: the roundoff of the two
+    # products is not Hermitian, and is no defect of m
+    hyponormal = psd_check(-0.5 * (commutator + commutator.conj().T), cfg)
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
     hypo_ep, min_eig = psd_spectrum(f.hermitian_commutator, cfg)
     # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)

@@ -24,7 +24,6 @@ from eplab import (
     random_commuting_ep_pair,
     random_ep,
     random_invariant_range_b,
-    random_johnson_vinoth_pair,
     random_same_kernel_pair,
     random_unitary,
     sweep,
@@ -356,13 +355,6 @@ def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys)
     capsys.readouterr()
     assert len(full_svds) == 3
     assert len(eigvalsh_calls) == 0
-
-
-def test_johnson_vinoth_generator_factors_once(full_svds):
-    a = random_ep(5, 3, 0)
-    full_svds.clear()
-    random_johnson_vinoth_pair(a, 1)
-    assert full_svds == [(5, 5)]
 
 
 # every nonzero matrix a fuzz trial gives a full SVD is given one once;

@@ -1,9 +1,20 @@
 import pytest
 
-from eplab import InputError, SUITES, run_suite, run_trial
+from eplab import InputError, SUITES, ToleranceConfig, run_suite, run_trial
 
 
 ALL_SUITES = sorted(SUITES)
+DIMS = tuple(range(2, 9))
+# each suite's checks per trial at default tolerances (powers checks
+# a, a^2, ..., a^5)
+CHECKS_PER_TRIAL = {
+    "hartwig_katz": 1, "group_invertible": 1, "invariant_range": 1,
+    "same_kernel": 2, "commuting_posinormal": 1, "commuting_ep": 2,
+    "johnson_vinoth": 1, "powers": 5, "block_kernels": 4, "collapse": 4,
+}
+# a subspace tolerance below roundoff, under which every suite but
+# hartwig_katz reports violations within 30 trials
+TIGHT = ToleranceConfig(subspace_tol=1e-15)
 
 
 @pytest.mark.parametrize("suite", ALL_SUITES)
@@ -11,6 +22,31 @@ def test_every_suite_clean_on_small_run(suite):
     outcome = run_suite(suite, 25, dims=range(2, 9), seed=97)
     assert outcome.ok, outcome.violations[:3]
     assert outcome.checks >= 25
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_checks_per_trial_are_pinned(suite):
+    for t in range(8):
+        violations, checks = run_trial(suite, 53, t, DIMS)
+        assert not violations
+        assert checks == CHECKS_PER_TRIAL[suite]
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_each_failed_check_is_one_replayable_violation(suite):
+    failed = 0
+    for t in range(30):
+        violations, checks = run_trial(suite, 7, t, DIMS, TIGHT)
+        failed += len(violations)
+        assert len(violations) <= checks
+        assert run_trial(suite, 7, t, DIMS, TIGHT) == (violations, checks)
+        assert all(v.trial == t and v.seed == (7, t) for v in violations)
+        if suite == "powers":
+            # one violation per failed power, in power order
+            powers = [v.details["power"] for v in violations]
+            assert powers == sorted(set(powers))
+            assert set(powers) <= {1, 2, 3, 4, 5}
+    assert failed or suite == "hartwig_katz"
 
 
 def test_zero_trials_vacuous_pass():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eplab import (
-    InapplicableError,
     InputError,
     catalog,
     catalog_names,
@@ -18,7 +17,6 @@ from eplab import (
     random_commuting_ep_pair,
     random_ep,
     random_invariant_range_b,
-    random_johnson_vinoth_pair,
     random_same_kernel_pair,
     random_unitary,
     shift_block_pair,
@@ -106,11 +104,6 @@ class TestPairs:
         a, b = random_same_kernel_pair(4, 4, seed=11)
         assert numerical_rank(a @ b).rank == 4
 
-    def test_johnson_vinoth_requires_ep(self):
-        j = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InapplicableError):
-            random_johnson_vinoth_pair(j, seed=0)
-
 
 # each generator drawing a core under cond_cap, as f(rank, cond_cap) at n = 4;
 # the commuting pair rejects rank 0 itself, and at rank 4 the EP block on its
@@ -120,9 +113,6 @@ _CAPPED = {
     "random_same_kernel_pair": lambda r, cap: random_same_kernel_pair(4, r, 0, cap),
     "random_commuting_ep_pair": lambda r, cap: random_commuting_ep_pair(
         4, r or 4, 0, cap
-    ),
-    "random_johnson_vinoth_pair": lambda r, cap: random_johnson_vinoth_pair(
-        random_ep(4, r, 1), 0, cap
     ),
 }
 

@@ -3,6 +3,7 @@ import pytest
 
 from eplab import (
     InputError,
+    ToleranceConfig,
     classify,
     equals,
     johnson_vinoth_check,
@@ -94,6 +95,21 @@ class TestClassifyExamples:
         assert report.ep is True  # invertible
         assert report.normal is False
         assert report.hyponormal is False
+
+
+class TestTightPsdTolerance:
+    # classify's commutator m m* - m* m is Hermitian only up to the roundoff
+    # of its two products; a psd_tol below that roundoff decides the flag
+    # and never blames the input for a Hermitian defect it does not have
+    @pytest.mark.parametrize("psd_tol", [1e-16, 1e-17])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_normal_input_is_decided(self, seed, psd_tol):
+        rng = np.random.default_rng(7000 + seed)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        report = classify(m, ToleranceConfig(psd_tol=psd_tol))
+        # a hyponormal matrix is normal in finite dimensions: the
+        # commutator is traceless, so PSD means zero
+        assert not report.normal and not report.hyponormal
 
 
 class TestProjectorRoute:
