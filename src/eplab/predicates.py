@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
-from .subspaces import _spanned, equality_residual, factor, inclusion_residual
+from .subspaces import _factor, _spanned, equality_residual, inclusion_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +38,7 @@ FLAG_NAMES = tuple(f.name for f in fields(ClassificationReport) if f.type is boo
 
 def classify(m, cfg=DEFAULT_TOLERANCES):
     """Full predicate battery for one square matrix."""
-    f = factor(require_square(m), cfg)
+    f = _factor(require_square(m), cfg)
     mn = f.unit
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     # m*m - m m*, by its exact Hermitian part: the roundoff of the two
@@ -98,5 +98,5 @@ def is_ep(m, cfg=DEFAULT_TOLERANCES):
     Returns ``(flag, residual)``; used by the procedures where the
     full report would be wasteful.
     """
-    residual = factor(require_square(m), cfg).ep_residual
+    residual = _factor(require_square(m), cfg).ep_residual
     return within(residual, cfg.subspace_tol, "ep residual"), residual

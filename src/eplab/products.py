@@ -16,8 +16,8 @@ from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
 from .kernel import psd_check, require_square
 from .subspaces import (
+    _factor,
     equality_residual,
-    factor,
     factor_pair,
     inclusion_residual,
     intersect,
@@ -131,9 +131,8 @@ def group_invertible_check(a, cfg=DEFAULT_TOLERANCES):
     """Rank stability under squaring, decided three equivalent ways; the
     square of A's unit-scaled form has its rank decided against 1, so a
     nilpotent A ≠ 0 is not rank stable."""
-    a = require_square(a)
-    fa = factor(a, cfg)
-    fa2 = factor(fa.unit @ fa.unit, cfg, 1.0)
+    fa = _factor(require_square(a), cfg)
+    fa2 = _factor(fa.unit @ fa.unit, cfg, 1.0)
     residuals = {
         "kernel_stable": equality_residual(fa2.kernel, fa.kernel),
         "range_stable": equality_residual(fa2.range, fa.range),
@@ -179,13 +178,12 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     """EP flags for a, a^2, ..., a^n, decided power by power; each power of
     A's unit-scaled form has its rank decided against 1, so a power that
     vanishes is the zero matrix, which is EP."""
-    a = require_square(a)
+    f = _factor(require_square(a), cfg)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
-    f = factor(a, cfg)
     residuals = [f.ep_residual]
     power = f.unit
     for _ in range(int(n) - 1):
         power = power @ f.unit
-        residuals.append(factor(power, cfg, 1.0).ep_residual)
+        residuals.append(_factor(power, cfg, 1.0).ep_residual)
     return [within(r, cfg.subspace_tol, "ep residual") for r in residuals]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import Factorization, factor, factor_pair, inclusion_residual, intersect
+from .subspaces import Factorization, _factor, factor_pair, inclusion_residual, intersect
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +50,9 @@ class BlockDecomposition:
     fb: Factorization
     cfg: ToleranceConfig
 
-    fbp = cached_property(lambda self: factor(self.block_b_prime, self.cfg, 1.0))
-    fy = cached_property(lambda self: factor(self.block_y, self.cfg, 1.0))
-    fz = cached_property(lambda self: factor(self.block_z, self.cfg, 1.0))
+    fbp = cached_property(lambda self: _factor(self.block_b_prime, self.cfg, 1.0))
+    fy = cached_property(lambda self: _factor(self.block_y, self.cfg, 1.0))
+    fz = cached_property(lambda self: _factor(self.block_z, self.cfg, 1.0))
 
     @property
     def core_dim(self):

@@ -32,16 +32,18 @@ class Subspace:
     """A linear subspace of C^n, represented by an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis is the
-    zero subspace.  ``complement`` is an orthonormal basis of the orthogonal
-    complement: a factorization's views carry the other columns of their
-    unitary factor, and any other basis is completed by one full SVD on
-    first use.
+    zero subspace.  A caller's basis is validated here (InputError), and an
+    orthonormal basis of its orthogonal complement, ``complement``, is
+    completed by one full SVD on first use.  A view eplab builds (columns of
+    a unitary factor) carries the other columns and is not re-checked.
     """
 
     ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
+        if "complement" in self.__dict__:  # a view: see _spanned
+            return
         basis = as_matrix(self.basis)
         object.__setattr__(self, "basis", basis)
         n, k = basis.shape
@@ -51,9 +53,7 @@ class Subspace:
             )
         if k > n:
             raise InputError(f"basis has more columns ({k}) than ambient rows ({n})")
-        gram = basis.conj().T @ basis
-        defect = float(np.linalg.norm(gram - np.eye(k)))
-        if not within(defect, ORTHONORMALITY_TOL, "Gram defect"):
+        if not within(_gram_defect(basis), ORTHONORMALITY_TOL, "Gram defect"):
             raise InputError("basis columns are not orthonormal")
 
     @property
@@ -70,11 +70,17 @@ class Subspace:
         return _spanned(zero, np.eye(ambient_dim, dtype=np.complex128))
 
 
+def _gram_defect(q):
+    """‖q*q − I‖_F: zero exactly when the columns of ``q`` are orthonormal."""
+    return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+
+
 def _spanned(basis, complement):
-    """The span of ``basis``, carrying ``complement`` (the other columns of
-    a unitary) as its orthogonal complement."""
-    s = Subspace(basis.shape[0], basis)
+    """The span of complex128 ``basis``, carrying ``complement`` (the other
+    columns of a unitary), held before ``__post_init__``, which trusts it."""
+    s = Subspace.__new__(Subspace)
     s.__dict__["complement"] = complement
+    s.__init__(basis.shape[0], basis)
     return s
 
 
@@ -169,9 +175,14 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     1e-13·‖A‖‖B‖ at n = 8) has rank 0.  With a scale, a matrix whose
     Frobenius norm is at or below the threshold has rank 0 for certain
     (every singular value is at most that norm), so it is not factored:
-    ``u`` and ``vh`` are identities and ``s`` is zeros.
+    ``u`` and ``vh`` are identities and ``s`` is zeros.  ``m`` is validated
+    here (:func:`~eplab.kernel.as_matrix`); a matrix eplab forms is not.
     """
-    m = as_matrix(m)
+    return _factor(as_matrix(m), cfg, scale)
+
+
+def _factor(m, cfg, scale=None):
+    """:func:`factor` of a finite 2-D complex128 ``m`` eplab formed or checked."""
     if scale is None or np.linalg.norm(m) > rank_threshold(scale, m.shape, cfg):
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
@@ -226,8 +237,8 @@ class FactoredPair:
     cfg: ToleranceConfig
     _reports: dict = field(default_factory=dict, init=False, repr=False)
 
-    fa = cached_property(lambda self: factor(self.a, self.cfg))
-    fb = cached_property(lambda self: factor(self.b, self.cfg))
+    fa = cached_property(lambda self: _factor(self.a, self.cfg))
+    fb = cached_property(lambda self: _factor(self.b, self.cfg))
     fab = cached_property(lambda self: _factor_product(self.fa, self.fb, self.cfg))
 
     def report(self, build):
@@ -279,12 +290,9 @@ class AngleReport:
 
 def projector(s, cfg=DEFAULT_TOLERANCES):
     """Orthogonal projector onto ``s`` as a dense matrix (Q Q*)."""
-    q = s.basis
-    gram = q.conj().T @ q
-    defect = float(np.linalg.norm(gram - np.eye(q.shape[1])))
-    if not within(defect, cfg.subspace_tol, "Gram defect"):
+    if not within(_gram_defect(s.basis), cfg.subspace_tol, "Gram defect"):
         raise InputError("subspace basis is not orthonormal within tolerance")
-    return q @ q.conj().T
+    return s.basis @ s.basis.conj().T
 
 
 def range_basis(m, cfg=DEFAULT_TOLERANCES):
@@ -358,7 +366,7 @@ def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
     if s1.dim == 0 or s2.dim == s2.ambient_dim:
         return s1
     cross = s2.complement.conj().T @ s1.basis
-    f = factor(cross, cfg, 1.0)
+    f = _factor(cross, cfg, 1.0)
     q = s1.basis @ f.vh.conj().T  # orthonormal: V is unitary
     return _spanned(q[:, f.rank :], np.hstack([q[:, : f.rank], s1.complement]))
 

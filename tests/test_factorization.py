@@ -29,7 +29,7 @@ from eplab import (
     sweep,
     write_matrix,
 )
-from eplab import subspaces
+from eplab import kernel, subspaces
 from eplab.cli import main
 from eplab.fuzz import SUITES, run_trial
 from eplab.kernel import rank_threshold
@@ -406,6 +406,60 @@ def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     record(lambda: block_kernel_inclusions(dec))
     assert [len(s) for s in shapes] == [3, 0, 0, 0, 1, 0]
     assert shapes == [[(6, 6), (6, 6), (4, 4)], [], [], [], [(4, 4)], []]
+
+
+@pytest.fixture
+def as_matrix_calls(monkeypatch):
+    """The argument of every ``as_matrix`` call from now on, under every
+    name an eplab module binds it to."""
+    original, calls = kernel.as_matrix, []
+
+    def recording(a):
+        calls.append(a)
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eplab" and vars(module).get("as_matrix") is original:
+            monkeypatch.setattr(module, "as_matrix", recording)
+    return calls
+
+
+def test_each_caller_given_matrix_is_validated_once(as_matrix_calls, monkeypatch):
+    # the caller's matrices are checked where they enter; the matrices eplab
+    # forms from them (cross matrices, blocks, unit products, powers) are not
+    m, a, b = (_mixed(seed, n=6, r=4) for seed in (5, 6, 7))
+    c, d = random_commuting_ep_pair(6, 4, 3)
+    cases = [
+        # classify also hands its two commutators to the public PSD tests,
+        # which check their input
+        (lambda: classify(m), [m], 2),
+        (lambda: hartwig_katz(a, b), [a, b], 0),
+        (lambda: power_ep(a, 5), [a], 0),
+        (lambda: block_kernel_inclusions(decompose_pair(c, d)), [c, d], 0),
+    ]
+    for call, given, psd_inputs in cases:
+        as_matrix_calls.clear()
+        call()
+        assert [id(x) for x in as_matrix_calls[: len(given)]] == [id(x) for x in given]
+        assert len(as_matrix_calls) == len(given) + psd_inputs
+
+    # each view enters __post_init__ exactly once, unchecked: the bench's
+    # subspaces.constructions_per_op counts these calls
+    built, post_init = [], Subspace.__post_init__
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Subspace, "__post_init__", recording)
+    as_matrix_calls.clear()
+    f = factor(m)
+    names = ("range", "kernel", "corange", "cokernel")
+    views = [getattr(f, name) for name in names]
+    for name, view in zip(names, views):
+        assert getattr(f, name) is view and view.complement is vars(view)["complement"]
+    assert len(built) == 4 and all(x is y for x, y in zip(built, views))
+    assert [id(x) for x in as_matrix_calls] == [id(m)]
 
 
 PAIR_PROCEDURES = {

@@ -335,6 +335,32 @@ class TestComplementResidual:
             Subspace(2, np.array([[1.0], [1.0]]))
         with pytest.raises(InputError):
             Subspace(3, np.array([[1.0, 0.9], [0.0, 0.1], [0.0, 0.0]]))
+        # every other rejection of a caller-given basis, message and all
+        rejected = [
+            (2, [[np.nan], [0.0]], "^matrix has non-finite entries$"),
+            (2, [[np.inf], [0.0]], "^matrix has non-finite entries$"),
+            (3, np.eye(2), "^basis has 2 rows but ambient dimension is 3$"),
+            (2, np.ones((2, 3)) / 2, r"^basis has more columns \(3\) than ambient rows \(2\)$"),
+            (2, np.array([1.0, 0.0]), "^expected a 2-D matrix, got ndim=1$"),
+            (2, [[1.0], [1.0]], "^basis columns are not orthonormal$"),
+        ]
+        for n, basis, message in rejected:
+            with pytest.raises(InputError, match=message):
+                Subspace(n, basis)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], "^matrix has non-finite entries$"),
+            ([[1.0, 0.0], [0.0, -np.inf]], "^matrix has non-finite entries$"),
+            (np.zeros((2, 2, 2)), "^expected a 2-D matrix, got ndim=3$"),
+        ],
+    )
+    def test_factor_rejects_a_bad_matrix(self, m, message):
+        with pytest.raises(InputError, match=message):
+            factor(m)
+        with pytest.raises(InputError, match=message):
+            factor(m, scale=1.0)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_one_singular_value_svd_per_inclusion(self, n, monkeypatch):
