@@ -17,13 +17,11 @@ from .errors import InputError
 from .kernel import embed, require_square
 from .subspaces import (
     Subspace,
+    _factor,
     bouldin_angle,
-    factor,
     factor_pair,
     includes,
     minimal_angle,
-    numerical_rank,
-    range_basis,
 )
 
 _MAX_REJECTION_TRIES = 100_000
@@ -157,13 +155,13 @@ def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
     return a, b
 
 
-def _random_invariant_subspace(a, rng):
+def _random_invariant_subspace(a, rng, cfg):
     n = a.shape[0]
     w, vecs = np.linalg.eig(a)
     if np.isfinite(vecs).all() and np.linalg.cond(vecs) <= 1e8:
         k = int(rng.integers(1, n + 1))
         idx = rng.choice(n, size=k, replace=False)
-        return range_basis(vecs[:, np.sort(idx)])
+        return _factor(vecs[:, np.sort(idx)], cfg).range
     # ill-conditioned eigenbasis: fall back to the closure of a Krylov chain
     v = _complex_gaussian(rng, n, 1)
     columns = []
@@ -175,11 +173,12 @@ def _random_invariant_subspace(a, rng):
         cur = cur / norm
         columns.append(cur)
         cur = a @ cur
-    return range_basis(np.hstack(columns))
+    return _factor(np.hstack(columns), cfg).range
 
 
 def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
-    """Random B whose range is an A-invariant subspace, so R(AB) ⊆ R(B)."""
+    """Random B whose range is an A-invariant subspace, so R(AB) ⊆ R(B),
+    as decided by ``factor_pair(a, b, cfg)``, which a pair decision reads."""
     a = require_square(a)
     n = a.shape[0]
     if n == 0:
@@ -187,12 +186,10 @@ def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
     rng = _rng(seed)
     for _ in range(64):
         # never {0}: it spans unit eigenvectors or a Krylov chain from a unit vector
-        s = _random_invariant_subspace(a, rng)
-        m = _complex_gaussian(rng, s.dim, n)
-        if numerical_rank(m, cfg).rank < s.dim:
-            continue
-        b = s.basis @ m
-        if includes(range_basis(a @ b, cfg), s, cfg):  # M full row rank: R(B) = S
+        s = _random_invariant_subspace(a, rng, cfg)
+        b = s.basis @ _complex_gaussian(rng, s.dim, n)
+        pair = factor_pair(a, b, cfg)
+        if pair.fb.rank == s.dim and includes(pair.fab.range, s, cfg):  # R(B) = S
             return b
     raise InputError("failed to draw an invariant-range factor for this matrix")
 
@@ -359,7 +356,7 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
     pair = factor_pair(a, b, cfg)
     n_a, r_b = pair.fa.kernel, pair.fb.range
     cos = minimal_angle(n_a, r_b).cos_min_angle if n_a.dim and r_b.dim else math.nan
-    fab = factor(a @ b, cfg)  # at its own scale: sigma_min_plus is in AB's units
+    fab = _factor(a @ b, cfg)  # at its own scale: sigma_min_plus is in AB's units
     return TruncationMetrics(
         size=int(size),
         cos_min_angle=cos,

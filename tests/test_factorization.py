@@ -273,19 +273,21 @@ def test_full_svd_count(name, full_svds, forget_pair):
 # every SVD of one cold call, singular-value-only ones included, as
 # (all, full): the sweep's sigma_min_plus and EP flag read AB's one
 # factorization, with the minimal angle and AB's EP residual as the rest;
-# the invariant-range generator decides its coefficient block's rank by its
-# factorization and checks R(AB) against the span it drew, not R(B) again
-# (here the one singular-value-only SVD is its eigenbasis's cond).
+# the invariant-range generator decides its draw on the pair that the range
+# identity of the draw then reads, so together they factor the drawn span,
+# A, B and AB's core once each (here the span is the whole space, and the
+# singular-value-only SVDs are the eigenbasis's cond and the two inclusion
+# residuals of R(AB) = R(A)).
 def test_every_svd_of_the_sweep(svd_calls):
     sweep("shift_block", [2, 3, 4])
     assert (len(svd_calls), sum(svd_calls)) == (21, 12)
 
 
-def test_every_svd_of_the_invariant_range_generator(svd_calls):
+def test_every_svd_of_the_invariant_range_generator(svd_calls, forget_pair):
     a = random_ep(6, 3, 1, cond_cap=1e2)
     svd_calls.clear()
-    random_invariant_range_b(a, 2)
-    assert (len(svd_calls), sum(svd_calls)) == (4, 3)
+    product_range_identity(a, random_invariant_range_b(a, 2))
+    assert (len(svd_calls), sum(svd_calls)) == (7, 4)
 
 
 # exact eigvalsh counts: classify makes one eigensolve, for the hypo-EP
@@ -359,9 +361,8 @@ def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys)
 
 # every nonzero matrix a fuzz trial gives a full SVD is given one once;
 # a zero matrix may be factored as two operands (A = B = 0 in a rank-0
-# pair), and invariant_range still refactors an M that eig(0) = I maps to
-# itself as B = S M
-@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"invariant_range"}))
+# pair)
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_each_fuzz_trial_factors_each_matrix_once(suite, monkeypatch):
     svd = np.linalg.svd
     factored = []

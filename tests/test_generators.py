@@ -4,26 +4,32 @@ import numpy as np
 import pytest
 
 from eplab import (
+    DEFAULT_TOLERANCES,
     InputError,
+    ToleranceConfig,
     catalog,
     catalog_names,
     classify,
     equals,
     hartwig_katz,
+    includes,
     intersect,
     kernel_basis,
     minimal_angle,
     numerical_rank,
+    product_range_identity,
     random_commuting_ep_pair,
     random_ep,
     random_invariant_range_b,
     random_same_kernel_pair,
     random_unitary,
+    range_basis,
     shift_block_pair,
     sweep,
     tilted_projection_pair,
     weighted_shift_truncation,
 )
+from eplab import subspaces
 
 
 class TestDeterminism:
@@ -136,13 +142,9 @@ class TestInvariantRange:
         n = int(rng.integers(2, 8))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = random_invariant_range_b(a, seed=rng)
-        from eplab import includes, range_basis
-
         assert includes(range_basis(a @ b), range_basis(b))
 
     def test_diagonal_invariant_spans(self):
-        from eplab import range_basis
-
         a = np.diag([1.0, 0.0]).astype(complex)
         seen = set()
         for seed in range(40):
@@ -155,6 +157,52 @@ class TestInvariantRange:
             else:
                 seen.add("e2")
         assert seen == {"full", "e1", "e2"}
+
+    def test_every_rank_decision_is_under_the_callers_config(self, monkeypatch):
+        # the span (from eigenvectors or, for the Jordan block, a Krylov
+        # chain), B and AB are all decided under the config given
+        cfg = ToleranceConfig(rank_multiplier=20.0, subspace_tol=1e-9)
+        matrices = [random_ep(5, 3, seed, cond_cap=1e2) for seed in range(6)]
+        matrices.append(np.eye(3, k=1, dtype=complex))
+        decide, configs = subspaces.decide_rank, []
+
+        def recording(s, shape, cfg=DEFAULT_TOLERANCES, scale=None):
+            configs.append(cfg)
+            return decide(s, shape, cfg, scale)
+
+        monkeypatch.setattr(subspaces, "decide_rank", recording)
+        for seed, a in enumerate(matrices):
+            random_invariant_range_b(a, seed, cfg)
+        assert configs and set(configs) == {cfg}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spans_inside_the_kernel_give_a_vanishing_product(self, seed):
+        # for EP A with 0 < rank < n, a span of zero-eigenvalue eigenvectors
+        # lies in N(A): AB is roundoff, rank 0 at its unit scale, and
+        # R(AB) = {0} = R(A) ∩ R(B) since R(A) ∩ N(A) = {0}
+        a = random_ep(4, 2, seed, cond_cap=1e2)
+        vanishing = 0
+        for draw in range(40):
+            b = random_invariant_range_b(a, draw)
+            pair = subspaces.factor_pair(a, b)
+            report = product_range_identity(a, b)
+            assert report.hypothesis and report.conclusion
+            assert (pair.fab.rank == 0) == includes(pair.fb.range, pair.fa.kernel)
+            vanishing += pair.fab.rank == 0
+        assert vanishing > 0
+
+    @pytest.mark.parametrize(
+        "a, dim", [(np.eye(3, k=1), 3), (np.kron(np.eye(2), np.eye(2, k=1)), 2)]
+    )
+    def test_a_defective_matrix_draws_a_krylov_span(self, a, dim):
+        # nilpotent Jordan blocks: their eigenvectors are numerically
+        # parallel, so the span is the closure of a Krylov chain, the whole
+        # space for one 3x3 block and a proper invariant subspace for two 2x2
+        assert not np.linalg.cond(np.linalg.eig(a)[1]) <= 1e8
+        b = random_invariant_range_b(a, 11)
+        assert np.array_equal(b, random_invariant_range_b(a, 11))
+        assert numerical_rank(b).rank == dim
+        assert product_range_identity(a, b).hypothesis
 
 
 class TestCatalog:
