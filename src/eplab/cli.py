@@ -47,8 +47,6 @@ def _jsonable(value):
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return None if math.isnan(value) else value
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     return value
 
 
@@ -70,14 +68,14 @@ def parse_size_list(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            lo_s, _, hi_s = chunk.partition(":")
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise InputError(f"empty size range {chunk!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(chunk))
+        lo_s, colon, hi_s = chunk.partition(":")
+        try:
+            lo, hi = int(lo_s), int(hi_s if colon else lo_s)
+        except ValueError:
+            raise InputError(f"bad size {chunk!r}") from None
+        if hi < lo:
+            raise InputError(f"empty size range {chunk!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise InputError(f"no sizes in {text!r}")
     return sorted(set(out))

@@ -285,9 +285,11 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     else:
         # imported here: multiprocessing is a cost only parallel runs pay
         from concurrent.futures import ProcessPoolExecutor
-        chunksize = max(1, trials // (jobs * 4))
+        # under fork the pool starts all its workers at the first submit
+        workers = min(jobs, trials)
+        chunksize = max(1, trials // (workers * 4))
         # map yields results in task order, whatever order workers finish in
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, tasks, chunksize=chunksize))
 
     return FuzzOutcome(

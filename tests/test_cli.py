@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab import catalog, catalog_names, write_matrix
+from eplab import InputError, catalog, catalog_names, write_matrix
 from eplab.cli import main, parse_size_list
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -49,6 +49,12 @@ class TestParseSizeList:
     def test_empty(self):
         with pytest.raises(Exception):
             parse_size_list(",")
+
+    @pytest.mark.parametrize("text", ["2:x", "a", "2:", ":3", "2,x:4"])
+    def test_malformed_chunk_is_named(self, text):
+        bad = text.split(",")[-1]
+        with pytest.raises(InputError, match=f"^bad size {bad!r}$"):
+            parse_size_list(text)
 
 
 class TestClassifyCommand:
@@ -208,6 +214,13 @@ class TestFuzzCommand:
         code, _, _ = run_cli(capsys, "fuzz", "not_a_suite", "--trials", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("dims", ["2:x", "a", "2:"])
+    def test_malformed_dims_usage_error(self, capsys, dims):
+        # a usage error, not a traceback: exit 1 would mean violations found
+        code, out, err = run_cli(capsys, "fuzz", "hartwig_katz", "--dims", dims)
+        assert (code, out) == (2, "")
+        assert err == f"eplab: error: bad size {dims!r}\n"
+
 
 class TestTruncateCommand:
     def test_csv_output_and_stability(self, tmp_path, capsys):
@@ -238,6 +251,11 @@ class TestTruncateCommand:
     def test_unknown_family_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "truncate", "nope", "--dims", "2:3")
         assert code == 2
+
+    def test_malformed_dims_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "truncate", "weighted_shift", "--dims", "1:x")
+        assert (code, out) == (2, "")
+        assert err == "eplab: error: bad size '1:x'\n"
 
 
 class TestCatalogCommand:

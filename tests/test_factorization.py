@@ -273,11 +273,11 @@ def test_full_svd_count(name, full_svds, forget_pair):
 # every SVD of one cold call, singular-value-only ones included, as
 # (all, full): the sweep's sigma_min_plus and EP flag read AB's one
 # factorization, with the minimal angle and AB's EP residual as the rest;
-# the invariant-range generator decides its draw on the pair that the range
-# identity of the draw then reads, so together they factor the drawn span,
-# A, B and AB's core once each (here the span is the whole space, and the
-# singular-value-only SVDs are the eigenbasis's cond and the two inclusion
-# residuals of R(AB) = R(A)).
+# the invariant-range generator factors the span it draws and nothing else,
+# and the range identity of the draw decides A, B and AB's core on its pair,
+# so together they factor each of the four once (here the span is the whole
+# space, and the singular-value-only SVDs are the eigenbasis's cond and the
+# two inclusion residuals of R(AB) = R(A)).
 def test_every_svd_of_the_sweep(svd_calls):
     sweep("shift_block", [2, 3, 4])
     assert (len(svd_calls), sum(svd_calls)) == (21, 12)

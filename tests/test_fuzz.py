@@ -91,6 +91,36 @@ def test_parallel_matches_sequential():
     assert vars(seq) == vars(par)  # the outcome does not record the schedule
 
 
+def test_the_pool_never_starts_more_workers_than_trials(monkeypatch):
+    # under fork a pool starts all its workers at the first submit, so a
+    # pool wider than the run would fork processes that get no task; the
+    # stand-in records the width and runs the tasks here
+    import concurrent.futures
+
+    widths = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for trials, jobs in ((2, 64), (7, 3), (4, 4)):
+        par = run_suite("invariant_range", trials, DIMS, seed=7, jobs=jobs, cfg=TIGHT)
+        seq = run_suite("invariant_range", trials, DIMS, seed=7, jobs=1, cfg=TIGHT)
+        assert widths.pop() == min(trials, jobs)
+        assert vars(par) == vars(seq)
+    assert not widths
+
+
 def test_outcome_is_order_independent_of_dims_container():
     a = run_suite("collapse", 12, dims=[2, 3, 4], seed=8)
     b = run_suite("collapse", 12, dims=(2, 3, 4), seed=8)

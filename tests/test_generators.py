@@ -29,7 +29,7 @@ from eplab import (
     tilted_projection_pair,
     weighted_shift_truncation,
 )
-from eplab import subspaces
+from eplab import generators, subspaces
 
 
 class TestDeterminism:
@@ -159,8 +159,9 @@ class TestInvariantRange:
         assert seen == {"full", "e1", "e2"}
 
     def test_every_rank_decision_is_under_the_callers_config(self, monkeypatch):
-        # the span (from eigenvectors or, for the Jordan block, a Krylov
-        # chain), B and AB are all decided under the config given
+        # the span, from eigenvectors or, for the Jordan block, a Krylov
+        # chain, is the one rank decision the generator makes, and it is
+        # made under the config given
         cfg = ToleranceConfig(rank_multiplier=20.0, subspace_tol=1e-9)
         matrices = [random_ep(5, 3, seed, cond_cap=1e2) for seed in range(6)]
         matrices.append(np.eye(3, k=1, dtype=complex))
@@ -174,6 +175,26 @@ class TestInvariantRange:
         for seed, a in enumerate(matrices):
             random_invariant_range_b(a, seed, cfg)
         assert configs and set(configs) == {cfg}
+
+    def test_one_span_per_draw_at_a_tight_tolerance(self, monkeypatch):
+        # the generator draws and the trial decides: below roundoff, where
+        # R(AB) ⊆ R(B) often fails numerically, B is still one span times
+        # one Gaussian block, never redrawn
+        cfg = ToleranceConfig(subspace_tol=1e-15)
+        span, calls = generators._random_invariant_subspace, []
+
+        def counting(a, rng, cfg):
+            calls.append(cfg)
+            return span(a, rng, cfg)
+
+        monkeypatch.setattr(generators, "_random_invariant_subspace", counting)
+        rng = np.random.default_rng(19)
+        for seed in range(50):
+            n = int(rng.integers(2, 9))
+            a = random_ep(n, int(rng.integers(0, n + 1)), seed, cond_cap=1e2)
+            calls.clear()
+            random_invariant_range_b(a, seed, cfg)
+            assert calls == [cfg]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_spans_inside_the_kernel_give_a_vanishing_product(self, seed):
