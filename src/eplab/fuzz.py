@@ -6,7 +6,8 @@ failed check is one :class:`Violation`, with the per-trial seed and the
 residuals needed to replay and triage it.  A trial makes two checks in
 ``same_kernel`` and ``commuting_ep``, four in ``block_kernels`` (one when
 its applicability gate raises) and ``collapse``, five in ``powers`` (one
-per power) and one elsewhere.
+per power) and one elsewhere.  ``commuting_ep`` reads AB's EP flag and
+both its inclusion residuals from AB's one factorization.
 
 Trial seeds are derived as ``SeedSequence((master_seed, trial_index))``, so
 runs are reproducible and independent of how trials are scheduled; parallel
@@ -41,7 +42,7 @@ from .products import (
     product_range_identity,
 )
 from .structure import block_kernel_inclusions, decompose_pair, posinormal_product_conditions
-from .subspaces import factor
+from .subspaces import _factor
 
 _PAIR_COND_CAP = 1e2   # cores entering products
 _POWER_COND_CAP = 5.0  # cores raised to the 5th power
@@ -138,27 +139,22 @@ def _commuting_pair(rng, dims):
 
 def _t_commuting_posinormal(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
-    residual = factor(a @ b, cfg).posinormal_residual
+    residual = _factor(a @ b, cfg).posinormal_residual
     holds = within(residual, cfg.subspace_tol, "posinormal_inclusion")
     return [("product_posinormal", holds, {"residual": residual})]
 
 
 def _t_commuting_ep(rng, dims, cfg):
     a, b = _commuting_pair(rng, dims)
-    report = classify(a @ b, cfg)
-    res = report.residuals
-    # classify's EP flag and residual are is_ep's: the same ep_residual of AB,
-    # the larger of the two inclusion residuals
+    fab = _factor(a @ b, cfg)
+    ep = within(fab.ep_residual, cfg.subspace_tol, "ep residual")
     ep_ba, res_ba = is_ep(b @ a, cfg)
     inclusions = {
-        "posinormal_residual": res["posinormal_inclusion"],
-        "coposinormal_residual": res["coposinormal_inclusion"],
+        "posinormal_residual": fab.posinormal_residual,
+        "coposinormal_residual": fab.coposinormal_residual,
     }
-    orders = {"ab_residual": res["ep_equality"], "ba_residual": res_ba}
-    return [
-        ("product_ep", report.ep, inclusions),
-        ("order_agreement", report.ep == ep_ba, orders),
-    ]
+    orders = {"ab_residual": fab.ep_residual, "ba_residual": res_ba}
+    return [("product_ep", ep, inclusions), ("order_agreement", ep == ep_ba, orders)]
 
 
 def _t_johnson_vinoth(rng, dims, cfg):

@@ -17,6 +17,7 @@ from .errors import InputError
 from .kernel import embed, require_square
 from .subspaces import (
     Subspace,
+    _cond,
     _factor,
     bouldin_angle,
     factor_pair,
@@ -71,7 +72,8 @@ def _rng(seed):
 
 
 def _complex_gaussian(rng, rows, cols):
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+    g = rng.standard_normal((2, rows, cols))  # the stream of two draws
+    return (g[0] + 1j * g[1]) / math.sqrt(2.0)
 
 
 def random_unitary(n, seed=None):
@@ -80,7 +82,7 @@ def random_unitary(n, seed=None):
     rng = _rng(seed)
     z = _complex_gaussian(rng, n, n)
     q, r = np.linalg.qr(z)
-    d = np.diag(r).copy()
+    d = r.diagonal().copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
 
@@ -94,7 +96,7 @@ def _invertible_core(rng, r, cond_cap):
         return np.zeros((0, 0), dtype=np.complex128)
     for _ in range(_MAX_REJECTION_TRIES):
         c = _complex_gaussian(rng, r, r)
-        if np.linalg.cond(c) <= cond_cap:
+        if _cond(c) <= cond_cap:
             return c
     raise InputError(
         f"could not sample a {r}x{r} core with condition <= {cond_cap}"
@@ -157,7 +159,7 @@ def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
 def _random_invariant_subspace(a, rng, cfg):
     n = a.shape[0]
     w, vecs = np.linalg.eig(a)
-    if np.isfinite(vecs).all() and np.linalg.cond(vecs) <= 1e8:
+    if np.isfinite(vecs).all() and _cond(vecs) <= 1e8:
         k = int(rng.integers(1, n + 1))
         idx = rng.choice(n, size=k, replace=False)
         return _factor(vecs[:, np.sort(idx)], cfg).range

@@ -13,14 +13,15 @@ never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import Factorization, _factor, factor_pair, inclusion_residual, intersect
+from .subspaces import (
+    Factorization, _factor, _lazy, factor_pair, inclusion_residual, intersect,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +51,9 @@ class BlockDecomposition:
     fb: Factorization
     cfg: ToleranceConfig
 
-    fbp = cached_property(lambda self: _factor(self.block_b_prime, self.cfg, 1.0))
-    fy = cached_property(lambda self: _factor(self.block_y, self.cfg, 1.0))
-    fz = cached_property(lambda self: _factor(self.block_z, self.cfg, 1.0))
+    fbp = _lazy(lambda self: _factor(self.block_b_prime, self.cfg, 1.0))
+    fy = _lazy(lambda self: _factor(self.block_y, self.cfg, 1.0))
+    fz = _lazy(lambda self: _factor(self.block_z, self.cfg, 1.0))
 
     @property
     def core_dim(self):

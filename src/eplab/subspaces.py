@@ -16,7 +16,6 @@ whose sines are zero, decided against 1, and carry their complement.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,6 +25,26 @@ from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
     RankDecision, as_matrix, decide_rank, rank_threshold, require_pair,
 )
+
+
+class _lazy:
+    """A fact computed on first access and kept in the instance's ``__dict__``,
+    where it shadows this descriptor.  Unlike Python 3.11's cached property
+    it takes no lock: a racing first access may compute a fact twice, which
+    :func:`factor_pair`'s memo already allows."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
@@ -60,7 +79,7 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    @cached_property
+    @_lazy
     def complement(self):
         return np.linalg.svd(self.basis)[0][:, self.dim :]
 
@@ -105,40 +124,40 @@ class Factorization:
     def rank(self):
         return self.decision.rank
 
-    @cached_property
+    @_lazy
     def range(self):
         return _spanned(self.u[:, : self.rank], self.u[:, self.rank :])
 
-    @cached_property
+    @_lazy
     def cokernel(self):
         return _spanned(self.u[:, self.rank :], self.u[:, : self.rank])
 
-    @cached_property
+    @_lazy
     def corange(self):
         v = self.vh.conj().T
         return _spanned(v[:, : self.rank], v[:, self.rank :])
 
-    @cached_property
+    @_lazy
     def kernel(self):
         v = self.vh.conj().T
         return _spanned(v[:, self.rank :], v[:, : self.rank])
 
-    @cached_property
+    @_lazy
     def posinormal_residual(self):
         """Residual of R(m) inside R(m*), computed once."""
         return inclusion_residual(self.range, self.corange)
 
-    @cached_property
+    @_lazy
     def coposinormal_residual(self):
         """Residual of R(m*) inside R(m), computed once."""
         return inclusion_residual(self.corange, self.range)
 
-    @cached_property
+    @_lazy
     def ep_residual(self):
         """Residual of R(m) = R(m*): the larger of the two above."""
         return max(self.posinormal_residual, self.coposinormal_residual)
 
-    @cached_property
+    @_lazy
     def projector_commutator(self):
         """``pinv @ m - m @ pinv``: zero exactly when m is EP."""
         return self.pinv @ self.m - self.m @ self.pinv
@@ -150,13 +169,13 @@ class Factorization:
         d = self.projector_commutator
         return 0.5 * (d + d.conj().T)
 
-    @cached_property
+    @_lazy
     def unit(self):
         """``m`` divided by its largest singular value (a zero matrix as is),
         so that products and powers of it neither overflow nor underflow."""
         return self.m / self.s[0] if self.s.size and self.s[0] else self.m
 
-    @cached_property
+    @_lazy
     def pinv(self):
         r = self.rank
         return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
@@ -189,6 +208,12 @@ def _factor(m, cfg, scale=None):
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
+
+
+def _cond(m):
+    """σ₁/σₙ of ``m`` by one singular-value SVD; inf when σₙ = 0, as numpy's cond."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[0] / s[-1] if s[-1] else math.inf
 
 
 def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
@@ -237,9 +262,9 @@ class FactoredPair:
     cfg: ToleranceConfig
     _reports: dict = field(default_factory=dict, init=False, repr=False)
 
-    fa = cached_property(lambda self: _factor(self.a, self.cfg))
-    fb = cached_property(lambda self: _factor(self.b, self.cfg))
-    fab = cached_property(lambda self: _factor_product(self.fa, self.fb, self.cfg))
+    fa = _lazy(lambda self: _factor(self.a, self.cfg))
+    fb = _lazy(lambda self: _factor(self.b, self.cfg))
+    fab = _lazy(lambda self: _factor_product(self.fa, self.fb, self.cfg))
 
     def report(self, build):
         """``build(self)``, built on the first request and kept; each call

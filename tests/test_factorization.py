@@ -290,6 +290,37 @@ def test_every_svd_of_the_invariant_range_generator(svd_calls, forget_pair):
     assert (len(svd_calls), sum(svd_calls)) == (7, 4)
 
 
+# every SVD (all, full) and eigvalsh of the first 20 trials of each suite
+# (seed 20260810, dims 2..8, the regime of a fuzz_small benchmark op); an
+# edit may only lower a count.  commuting_ep reads AB's EP flag and its two
+# inclusion residuals from one factorization, with no classify battery (its
+# commutator, Cholesky, eigensolve, EP_r and quasiposinormal residuals)
+FUZZ_COUNTS = {
+    "block_kernels": (129, 73, 0),
+    "collapse": (67, 20, 20),
+    "commuting_ep": (117, 40, 0),
+    "commuting_posinormal": (49, 20, 0),
+    "group_invertible": (75, 38, 0),
+    "hartwig_katz": (210, 74, 0),
+    "invariant_range": (137, 80, 0),
+    "johnson_vinoth": (96, 52, 0),
+    "powers": (205, 68, 0),
+    "same_kernel": (104, 40, 0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FUZZ_COUNTS))
+def test_fuzz_suite_counts(suite, svd_calls, eigvalsh_calls):
+    for trial in range(20):
+        run_trial(suite, 20260810, trial, range(2, 9))
+    counts = (len(svd_calls), sum(svd_calls), len(eigvalsh_calls))
+    assert counts == FUZZ_COUNTS[suite]
+
+
+def test_fuzz_counts_cover_every_suite():
+    assert sorted(FUZZ_COUNTS) == sorted(SUITES)
+
+
 # exact eigvalsh counts: classify makes one eigensolve, for the hypo-EP
 # eigenvalue it reports, a nonempty zero matrix included, and decides
 # hyponormal by a Cholesky; Johnson-Vinoth's AB hypo-EP flag is a Cholesky

@@ -51,6 +51,71 @@ class TestDeterminism:
         )
 
 
+def _two_call_gaussian(rng, rows, cols):
+    """The complex Gaussian rule the draws are pinned to: two
+    standard_normal calls, real part first."""
+    re = rng.standard_normal((rows, cols))
+    return (re + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+
+
+def _cond_capped_core(rng, r, cap):
+    """(core, rejected tries) under the pinned cap rule, numpy's cond."""
+    rejected = 0
+    while True:
+        c = _two_call_gaussian(rng, r, r)
+        if np.linalg.cond(c) <= cap:
+            return c, rejected
+        rejected += 1
+
+
+class TestDrawsAreReplayed:
+    # the generators draw complex Gaussians from one standard_normal call and
+    # test condition caps on subspaces._cond; both must replay, bit for bit,
+    # the stream and the accept/reject decisions of the rules above
+
+    def test_gaussians_and_unitaries(self):
+        for seed in range(500):
+            rows, cols = (int(k) for k in np.random.default_rng(seed).integers(0, 9, 2))
+            got = generators._complex_gaussian(np.random.default_rng(seed), rows, cols)
+            want = _two_call_gaussian(np.random.default_rng(seed), rows, cols)
+            assert np.array_equal(got, want)
+            n = max(rows, 1)
+            q, r = np.linalg.qr(_two_call_gaussian(np.random.default_rng(seed), n, n))
+            d = np.diag(r).copy()
+            d[d == 0] = 1.0
+            assert np.array_equal(random_unitary(n, seed), q * (d / np.abs(d)))
+
+    @pytest.mark.parametrize("cap", [5.0, 1e2])
+    def test_condition_capped_cores(self, cap, monkeypatch):
+        tries, gaussian = [], generators._complex_gaussian
+
+        def counting(rng, rows, cols):
+            tries.append(1)
+            return gaussian(rng, rows, cols)
+
+        monkeypatch.setattr(generators, "_complex_gaussian", counting)
+        rejected = []
+        for seed in range(500):
+            r = 1 + seed % 4
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            tries.clear()
+            core = generators._invertible_core(rng, r, cap)
+            want, ref_rejected = _cond_capped_core(ref_rng, r, cap)
+            assert np.array_equal(core, want)
+            assert len(tries) - 1 == ref_rejected
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert subspaces._cond(core) == np.linalg.cond(core)
+            rejected.append(ref_rejected)
+        if cap == 5.0:  # the cap decides: 676 of 1176 tries are rejected
+            assert sum(rejected) > 0.4 * (len(rejected) + sum(rejected))
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((3, 3)), np.diag([1.0, 0.0]), np.diag([2j, 0.0, 1.0])]
+    )
+    def test_a_singular_matrix_has_infinite_condition(self, m):
+        assert subspaces._cond(m) == np.linalg.cond(m) == math.inf
+
+
 class TestRandomEp:
     def test_full_rank_and_zero_rank(self):
         assert classify(random_ep(4, 4, seed=0)).ep

@@ -198,3 +198,13 @@ def test_only_subspaces_calls_the_svd():
     src = Path(eplab.__file__).parent
     callers = [p.name for p in sorted(src.glob("*.py")) if "linalg.svd" in p.read_text()]
     assert callers == ["subspaces.py"]
+
+
+def test_no_locking_lazy_facts_and_no_cond():
+    # the lazy facts are subspaces._lazy, which, unlike Python 3.11's
+    # functools one, takes no lock on first use, and every condition cap
+    # reads subspaces._cond's one singular-value SVD, not numpy's cond with
+    # its errstate and NaN passes
+    src = Path(eplab.__file__).parent
+    for needle in ("cached_property", "linalg.cond"):
+        assert [p.name for p in sorted(src.glob("*.py")) if needle in p.read_text()] == []
