@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
-from .subspaces import _factor, _spanned, equality_residual, inclusion_residual
+from .subspaces import _factor, _spanned, equality_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "commutator": float(np.linalg.norm(commutator)),
         "posinormal_inclusion": r_pos,
         "coposinormal_inclusion": r_copos,
-        "quasiposinormal_inclusion": inclusion_residual(f.kernel, f.cokernel),
+        "quasiposinormal_inclusion": f.quasiposinormal_residual,
         "ep_equality": f.ep_residual,
         "projector_commutator": float(np.linalg.norm(f.projector_commutator)),
         "ep_r_equality": equality_residual(f.kernel, ker_t),

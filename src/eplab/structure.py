@@ -19,9 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import (
-    Factorization, _factor, _lazy, factor_pair, inclusion_residual, intersect,
-)
+from .subspaces import Factorization, _factor, _lazy, factor_pair, inclusion_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +34,9 @@ class BlockDecomposition:
     ‖A‖₂‖B‖₂).  ``fb`` is B's factorization (not the pair, which keeps
     the decomposition) and ``cfg`` the config the pair was decomposed
     under; the block checks read both from here.
-    ``fbp``, ``fy`` and ``fz`` factor B', Y and Z on first use and keep
-    them, each decided against 1, the norm of the unit-scaled B it is a
-    block of: a roundoff block has rank 0.
+    ``fbp`` and ``fz`` factor B' and Z on first use and keep them, each
+    decided against 1, the norm of the unit-scaled B it is a block of: a
+    roundoff block has rank 0.
     """
 
     basis_u: np.ndarray
@@ -52,7 +50,6 @@ class BlockDecomposition:
     cfg: ToleranceConfig
 
     fbp = _lazy(lambda self: _factor(self.block_b_prime, self.cfg, 1.0))
-    fy = _lazy(lambda self: _factor(self.block_y, self.cfg, 1.0))
     fz = _lazy(lambda self: _factor(self.block_z, self.cfg, 1.0))
 
     @property
@@ -74,8 +71,8 @@ class BlockDecomposition:
 class InclusionReport:
     """Kernel inclusions of the compressed blocks.
 
-    ``kernel_z_included``: N(Z) contained in N(Z*) ∩ N(Y*).
-    ``kernel_bprime_included``: N(B') ∩ N(Y) contained in N(B'*).
+    ``kernel_z_included``: N(Z) contained in N(Z*).
+    ``kernel_bprime_included``: N(B') contained in N(B'*).
     The ``*_equal`` fields hold the equality versions, populated only when
     the compressed operator is also coposinormal, else None.
     """
@@ -141,9 +138,10 @@ def block_kernel_inclusions(dec):
     Raises InapplicableError when the recorded commutation or reducing
     residual shows the pair was not actually commuting / reducing, or is
     not finite.  Each bound is the decomposition's ``subspace_tol``: the
-    residuals are those of the unit-scaled operands.
+    residuals are those of the unit-scaled operands.  Past the gate, B maps
+    R(A) = N(A)^perp into itself, so Y = 0 in C^n and N(Y), N(Y*) drop out.
     """
-    cfg, tol = dec.cfg, dec.cfg.subspace_tol
+    tol = dec.cfg.subspace_tol
     if not within(dec.residuals["commutation"], tol, "commutation"):
         raise InapplicableError(
             f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
@@ -154,21 +152,16 @@ def block_kernel_inclusions(dec):
             f"(residual {dec.residuals['reducing']:.3e})"
         )
 
-    # N(X*) is the cokernel of X's factorization
-    fz, fy, fbp = dec.fz, dec.fy, dec.fbp
-    z_target = intersect(fz.cokernel, fy.cokernel, cfg)
-    r_z = inclusion_residual(fz.kernel, z_target)
-    bp_source = intersect(fbp.kernel, fy.kernel, cfg)
-    r_bp = inclusion_residual(bp_source, fbp.cokernel)
+    r_z, r_bp = (f.quasiposinormal_residual for f in (dec.fz, dec.fbp))
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
     # the equality versions apply when the compressed B, unitarily similar
     # to B, is coposinormal: B's own factorization decides it
     if within(dec.fb.coposinormal_residual, tol, "block inclusion"):
         # equality residual = max of the two inclusion residuals, one of them known
-        z_equal_res = max(r_z, inclusion_residual(z_target, fz.kernel))
+        z_equal_res = max(r_z, inclusion_residual(dec.fz.cokernel, dec.fz.kernel))
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
-        bp_equal_res = max(r_bp, inclusion_residual(fbp.cokernel, bp_source))
+        bp_equal_res = max(r_bp, inclusion_residual(dec.fbp.cokernel, dec.fbp.kernel))
         bp_equal = within(bp_equal_res, tol, "kernel_bprime_equal")
 
     return InclusionReport(

@@ -11,7 +11,7 @@ whose singular values are the sines of the principal angles of s1 against
 s2 (Björck-Golub).  Inclusion and equality read the largest sine, never
 dimension comparison, so they stay meaningful when two spaces share a
 dimension but differ.  Intersection and sum take the principal vectors
-whose sines are zero, decided against 1, and carry their complement.
+whose sines are within ``subspace_tol`` and carry their complement.
 """
 
 import math
@@ -151,6 +151,11 @@ class Factorization:
     def coposinormal_residual(self):
         """Residual of R(m*) inside R(m), computed once."""
         return inclusion_residual(self.corange, self.range)
+
+    @_lazy
+    def quasiposinormal_residual(self):
+        """Residual of N(m) inside N(m*), computed once."""
+        return inclusion_residual(self.kernel, self.cokernel)
 
     @_lazy
     def ep_residual(self):
@@ -381,19 +386,21 @@ def intersect(s1, s2, cfg=DEFAULT_TOLERANCES):
     complement as its complement.
 
     They are Q1 V for the right singular vectors V of the one cross matrix
-    s2.complement* Q1 whose singular values, the sines of the principal
-    angles, are zero.  The sines are decided against 1, the norm of an
-    orthonormal basis, under the shared rank threshold, never against the
-    largest sine: when s1 ⊆ s2 every sine is roundoff.  s1 itself when
-    s1 = {0} or s2 is the whole space.
+    s2.complement* Q1 whose sines are within ``subspace_tol``, the zero of
+    :func:`includes`: by Wedin's sin-θ bound a smaller sine cannot be told
+    from 0.  s1 itself, with no SVD, when s1 = {0}, s2 is C^n or the cross
+    matrix's Frobenius norm, which bounds every sine, is that small.
     """
     _check_same_ambient(s1, s2)
     if s1.dim == 0 or s2.dim == s2.ambient_dim:
         return s1
     cross = s2.complement.conj().T @ s1.basis
-    f = _factor(cross, cfg, 1.0)
-    q = s1.basis @ f.vh.conj().T  # orthonormal: V is unitary
-    return _spanned(q[:, f.rank :], np.hstack([q[:, : f.rank], s1.complement]))
+    if np.linalg.norm(cross) <= cfg.subspace_tol:
+        return s1
+    _, sines, vh = np.linalg.svd(cross)
+    k = int(np.count_nonzero(sines > cfg.subspace_tol))
+    q = s1.basis @ vh.conj().T  # orthonormal: V is unitary
+    return _spanned(q[:, k:], np.hstack([q[:, :k], s1.complement]))
 
 
 def subspace_sum(s1, s2, cfg=DEFAULT_TOLERANCES):

@@ -229,12 +229,12 @@ def eigvalsh_calls(monkeypatch):
 # through the r_a x r_b core of their factors; A and A^2 for the squaring
 # check); intersect and subspace_sum add one cross matrix each, none when
 # the first space is {0}, the second the whole space or the cross matrix
-# roundoff (on this commuting pair, each of Hartwig-Katz's); a block check
-# factors B', Y and Z, each once per decomposition, and reads B's
-# factorization from the decomposition: on this pair Y and Z are roundoff,
-# rank 0 without an SVD, so only B' is factored, and the two intersections
-# add none; per size the sweep factors A, B and AB and the cross matrices
-# of the Bouldin angle's intersection (roundoff here: N(A) lies in R(B))
+# within subspace_tol (on this commuting pair, each of Hartwig-Katz's); a
+# block check factors B' and Z, each once per decomposition, and reads B's
+# factorization from the decomposition: on this pair Z is roundoff, rank 0
+# without an SVD, so only B' is factored; per size the sweep factors A, B
+# and AB and the cross matrices of the Bouldin angle's intersection
+# (within subspace_tol here: N(A) lies in R(B))
 # and deflated kernel, both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
     "classify": 1,
@@ -368,9 +368,9 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
     full_svds, pair_files, capsys
 ):
     # A, B and AB (3) serve both Hartwig-Katz and Johnson-Vinoth, and
-    # Hartwig-Katz's intersect and subspace_sum cross matrices are roundoff
-    # on this commuting pair, so they add none; Djordjevic gates the
-    # Hartwig-Katz report instead of factoring again
+    # Hartwig-Katz's intersect and subspace_sum cross matrices are within
+    # subspace_tol on this commuting pair, so they add none; Djordjevic
+    # gates the Hartwig-Katz report instead of factoring again
     full_svds.clear()
     assert main(["product", *pair_files]) == 0
     capsys.readouterr()
@@ -379,9 +379,8 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
 
 def test_decompose_command_counts(full_svds, eigvalsh_calls, pair_files, capsys):
     # the decomposition's A and B (2), then the product conditions' B' (1);
-    # Y and Z are roundoff, rank 0 without an SVD; the kernel inclusions
-    # read B's factorization from the decomposition, and with Y = Z = 0 and
-    # B' invertible its two intersections factor nothing
+    # Z is roundoff, rank 0 without an SVD; the kernel inclusions read B's
+    # factorization from the decomposition and B' and Z from the conditions
     full_svds.clear()
     eigvalsh_calls.clear()
     assert main(["decompose", *pair_files]) == 0
@@ -416,11 +415,10 @@ def test_each_fuzz_trial_factors_each_matrix_once(suite, monkeypatch):
 def test_pair_decision_chain_factors_each_matrix_once(full_svds):
     # Hartwig-Katz factors A and B (6x6) and AB through the 4x4 core of
     # their rank-4 factors (never a 6x6 SVD of AB); its intersect and sum
-    # cross matrices (2x4) are roundoff, rank 0 without an SVD;
+    # cross matrices (2x4) are within subspace_tol, so none is factored;
     # Johnson-Vinoth, Djordjevic and the decomposition read the same pair;
     # the conditions factor B' (4x4) and decide the roundoff Z without an
-    # SVD, and the inclusions reuse them and the decomposition's B, and
-    # decide the roundoff Y without an SVD
+    # SVD, and the inclusions reuse them and the decomposition's B
     a, b = random_commuting_ep_pair(6, 4, 2)
     shapes = []
 

@@ -90,6 +90,22 @@ class TestHartwigKatz:
                 wrong.append((r, flags))
         assert wrong == []
 
+    @pytest.mark.parametrize("d", [1e-12, 1e-10, 1e-9])
+    def test_tilt_below_the_gate_is_no_tilt(self, d):
+        # B projects onto span(e1, e2 + d e3): R(B) is within the sine d of
+        # R(A) = span(e1, e2), which the gate cannot tell from 0, so the
+        # range intersection and kernel sum are those of d = 0
+        a = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        q, _ = np.linalg.qr(np.array([[1, 0], [0, 1], [0, d]], dtype=complex))
+        report = hartwig_katz(a, q @ q.conj().T)
+        flags = {k: getattr(report, k) for k in (
+            "cond_i", "cond_ii", "ab_ep", "a_ep", "b_ep",
+            "range_identity", "kernel_identity",
+        )}
+        assert all(flags.values()), flags
+        assert report.residuals["range_identity"] == 0.0
+        assert report.residuals["kernel_identity"] == 0.0
+
 
 class TestGroupInvertible:
     def test_nilpotent_all_false(self):
@@ -110,6 +126,21 @@ class TestGroupInvertible:
     def test_invertible_all_true(self):
         report = group_invertible_check(G)
         assert report.kernel_stable and report.range_stable and report.rank_stable
+
+    @pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e-11])
+    def test_near_nilpotent_rank_counts_what_the_gate_does_not(self, delta):
+        # A = U [[delta, 1], [0, 0]] U* has rank 1 and index 1, but A^2 has
+        # the singular value delta, below the gate and above the rank
+        # threshold: roundoff of order eps tilts N(A^2) and R(A^2) by about
+        # eps / delta, which the gated faces see, while the rank count
+        # keeps rank A^2 = rank A.  This pins the split as it stands.
+        u = random_unitary(2, seed=3)
+        a = u @ np.array([[delta, 1.0], [0.0, 0.0]]) @ u.conj().T
+        report = group_invertible_check(a)
+        assert (report.kernel_stable, report.range_stable, report.rank_stable) == (
+            False, False, True
+        )
+        assert report.residuals["rank"] == report.residuals["rank_squared"] == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ep_matrices_all_true(self, seed):
@@ -164,6 +195,24 @@ class TestDjordjevic:
         a, b = random_commuting_ep_pair(n, int(rng.integers(1, n + 1)), seed=rng)
         report = djordjevic_check(a, b)
         assert report.ab_ep and report.range_identity and report.kernel_identity
+
+    def test_identities_decide_ab_ep_on_random_ep_pairs(self):
+        # drawn as the hartwig_katz fuzz suite draws: for EP operands AB is
+        # EP iff R(AB) = R(A) ∩ R(B) and N(AB) = N(A) + N(B)
+        wrong, ab_ep_seen = [], set()
+        for seed in range(240):
+            rng = np.random.default_rng(12_100 + seed)
+            n = int(rng.integers(2, 9))
+            a, b = (random_ep(n, int(rng.integers(0, n + 1)), seed=rng, cond_cap=1e2)
+                    for _ in range(2))
+            report = hartwig_katz(a, b)
+            if not (report.a_ep and report.b_ep):
+                continue
+            ab_ep_seen.add(report.ab_ep)
+            if report.ab_ep != (report.range_identity and report.kernel_identity):
+                wrong.append((seed, report.residuals))
+        assert wrong == []
+        assert ab_ep_seen == {True, False}
 
     def test_identity_with_random_ep(self):
         b = random_ep(5, 3, seed=3)

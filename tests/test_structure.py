@@ -13,7 +13,9 @@ from eplab import (
     random_commuting_ep_pair,
     random_ep,
     random_same_kernel_pair,
+    random_unitary,
 )
+from eplab.fuzz import _mixed_square
 from eplab.kernel import embed
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # the spectral norm of the 2x2 shear
@@ -104,6 +106,48 @@ class TestKernelInclusions:
         # both operands here are EP, so the equality versions apply too
         assert report.kernel_z_equal
         assert report.kernel_bprime_equal
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9])
+    def test_coupling_below_the_gate_is_no_coupling(self, eps):
+        # B' = [[0, 1], [0, 0]], Z = diag(1, 0) and Y = diag(eps, 0): the pair
+        # commutes to within eps, so the gate makes Y = 0, and N(B') = e1
+        # is not inside N(B'*) = e2 whatever Y's own kernel
+        a = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+        b = np.zeros((4, 4), dtype=complex)
+        b[0, 1], b[2, 2], b[2, 0] = 1.0, 1.0, eps
+        dec = decompose_pair(a, b)
+        report = block_kernel_inclusions(dec)
+        assert report.kernel_bprime_included is False
+        assert report.kernel_bprime_residual == pytest.approx(1.0)
+        assert report.kernel_z_included is True
+        assert posinormal_product_conditions(dec).y_zero is True
+
+    def test_each_flag_is_its_block_being_ep(self):
+        # A = U diag(I_k, 0) U* and B = U (B' ⊕ Z) U* commute and N(A)
+        # reduces both, so X = Y = 0; for square blocks N(M) ⊆ N(M*) iff
+        # M is EP iff rank [M; M*] = rank M
+        def ep(m):
+            return np.linalg.matrix_rank(np.vstack([m, m.conj().T])) == (
+                np.linalg.matrix_rank(m)
+            )
+
+        wrong, seen = [], set()
+        for seed in range(200):
+            rng = np.random.default_rng(7100 + seed)
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            bp, z = _mixed_square(rng, k), _mixed_square(rng, n - k)
+            u = random_unitary(n, rng)
+            report = block_kernel_inclusions(
+                decompose_pair(embed(u, np.eye(k)), embed(u, bp, z))
+            )
+            got = (report.kernel_bprime_included, report.kernel_z_included)
+            want = (ep(bp), ep(z))
+            seen.add(got)
+            if got != want:
+                wrong.append((seed, got, want))
+        assert wrong == []
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_noncommuting_inapplicable(self):
         a = np.diag([1.0, 0.0]).astype(complex)

@@ -9,6 +9,7 @@ from eplab import (
     DimensionMismatchError,
     InputError,
     Subspace,
+    ToleranceConfig,
     TrivialSubspaceError,
     bouldin_angle,
     equality_residual,
@@ -160,6 +161,21 @@ class TestIntersectSum:
         for n in (0, 1, 4):
             pair = tilted_projection_pair(n)
             assert intersect(pair.m1, pair.m2).dim == 0
+
+    @pytest.mark.parametrize("d, shared", [(1e-10, 1), (1e-9, 1), (1e-6, 0)])
+    def test_a_sine_within_the_gate_is_shared(self, d, shared):
+        # the sines of span(e1, e2) against span(e1 + d e3, e4) are 1 and
+        # about d: e1 is shared exactly when d is within subspace_tol, the
+        # zero includes reads
+        s1 = span(e(4, 0), e(4, 1))
+        s2 = span(e(4, 0) + d * e(4, 2), e(4, 3))
+        assert includes(span(e(4, 0)), s2) == bool(shared)
+        meet = intersect(s1, s2)
+        assert meet.dim == shared
+        assert subspace_sum(s1, s2).dim == 4 - shared
+        if shared:
+            assert equality_residual(meet, span(e(4, 0))) <= 1e-12
+            assert intersect(s1, s2, ToleranceConfig(subspace_tol=0.1 * d)).dim == 0
 
     def test_sum_of_coordinate_lines(self):
         assert equals(subspace_sum(span(e(2, 0)), span(e(2, 1))), span(e(2, 0), e(2, 1)))
@@ -489,7 +505,7 @@ class TestLatticeFromTheCrossMatrix:
         for s1 in spaces:
             for s2 in spaces:
                 # s1 inside s2 (here s1 is s2): the cross matrix is roundoff,
-                # which the rank policy calls zero without an SVD
+                # within subspace_tol, so no SVD is made
                 trivial = s1.dim == 0 or s2.dim == n or s1 is s2
                 calls.clear()
                 intersect(s1, s2)
