@@ -73,13 +73,10 @@ def rank_threshold(scale, shape, cfg=DEFAULT_TOLERANCES):
     return cfg.rank_multiplier * _EPS * max(shape) * scale
 
 
-def decide_rank(singular_values, shape, cfg=DEFAULT_TOLERANCES, scale=None):
-    """Rank decision on ``singular_values``, against the largest of them (0
-    when there are none) or, when ``scale`` is given, against that scale
-    (see :func:`factor <eplab.subspaces.factor>`)."""
+def decide_rank(singular_values, shape, cfg, scale):
+    """Rank decision on ``singular_values`` against ``scale`` (see
+    :func:`factor <eplab.subspaces.factor>`)."""
     s = np.asarray(singular_values, dtype=np.float64)
-    if scale is None:
-        scale = float(s.max(initial=0.0))
     tol = rank_threshold(scale, shape, cfg)
     rank = int(np.count_nonzero(s > tol))
     return RankDecision(rank=rank, singular_values=s, threshold=tol)

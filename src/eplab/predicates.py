@@ -3,6 +3,7 @@
 Each predicate is decided two independent ways where possible (subspace
 route vs projector route); disagreements beyond tolerance are surfaced in
 ``ClassificationReport.conflicts`` instead of being silently resolved.
+Quasiposinormal is posinormal in C^n and reads the posinormal residual.
 Residuals are normalized by powers of the spectral norm, so classify(c*M)
 agrees with classify(M) for any nonzero scalar c.
 """
@@ -53,7 +54,8 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "commutator": float(np.linalg.norm(commutator)),
         "posinormal_inclusion": r_pos,
         "coposinormal_inclusion": r_copos,
-        "quasiposinormal_inclusion": f.quasiposinormal_residual,
+        # in C^n N(m) ⊆ N(m*) iff R(m) ⊆ R(m*): take orthogonal complements
+        "quasiposinormal_inclusion": r_pos,
         "ep_equality": f.ep_residual,
         "projector_commutator": float(np.linalg.norm(f.projector_commutator)),
         "ep_r_equality": equality_residual(f.kernel, ker_t),
@@ -93,7 +95,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
 
 
 def is_ep(m, cfg=DEFAULT_TOLERANCES):
-    """Fast EP test from a single SVD: R(m) equals R(m*).
+    """R(m) = R(m*) from one factorization and up to two cross-matrix SVDs.
 
     Returns ``(flag, residual)``; used by the procedures where the
     full report would be wasteful.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import Factorization, _factor, _lazy, factor_pair, inclusion_residual
+from .subspaces import Factorization, _factor, _lazy, factor_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,8 @@ class InclusionReport:
     ``kernel_z_included``: N(Z) contained in N(Z*).
     ``kernel_bprime_included``: N(B') contained in N(B'*).
     The ``*_equal`` fields hold the equality versions, populated only when
-    the compressed operator is also coposinormal, else None.
+    the compressed operator is also coposinormal, else None.  Each residual
+    is its block's posinormal (inclusion) or EP (equality) residual.
     """
 
     kernel_z_included: bool
@@ -140,6 +141,7 @@ def block_kernel_inclusions(dec):
     not finite.  Each bound is the decomposition's ``subspace_tol``: the
     residuals are those of the unit-scaled operands.  Past the gate, B maps
     R(A) = N(A)^perp into itself, so Y = 0 in C^n and N(Y), N(Y*) drop out.
+    In C^n N(M) ⊆ N(M*) is R(M) ⊆ R(M*), and N(M) = N(M*) is M being EP.
     """
     tol = dec.cfg.subspace_tol
     if not within(dec.residuals["commutation"], tol, "commutation"):
@@ -152,16 +154,15 @@ def block_kernel_inclusions(dec):
             f"(residual {dec.residuals['reducing']:.3e})"
         )
 
-    r_z, r_bp = (f.quasiposinormal_residual for f in (dec.fz, dec.fbp))
+    r_z, r_bp = (f.posinormal_residual for f in (dec.fz, dec.fbp))
 
     z_equal = z_equal_res = bp_equal = bp_equal_res = None
     # the equality versions apply when the compressed B, unitarily similar
     # to B, is coposinormal: B's own factorization decides it
     if within(dec.fb.coposinormal_residual, tol, "block inclusion"):
-        # equality residual = max of the two inclusion residuals, one of them known
-        z_equal_res = max(r_z, inclusion_residual(dec.fz.cokernel, dec.fz.kernel))
+        z_equal_res = dec.fz.ep_residual
         z_equal = within(z_equal_res, tol, "kernel_z_equal")
-        bp_equal_res = max(r_bp, inclusion_residual(dec.fbp.cokernel, dec.fbp.kernel))
+        bp_equal_res = dec.fbp.ep_residual
         bp_equal = within(bp_equal_res, tol, "kernel_bprime_equal")
 
     return InclusionReport(

@@ -111,7 +111,8 @@ class Factorization:
     The first ``rank`` columns of ``u`` span the range R(m), the rest the
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
     R(m*), the rest the kernel N(m).  Each view is built on first use and
-    carries the other columns as its complement.
+    carries the other columns as its complement.  Two cross matrices decide
+    the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n.
     """
 
     m: np.ndarray
@@ -151,11 +152,6 @@ class Factorization:
     def coposinormal_residual(self):
         """Residual of R(m*) inside R(m), computed once."""
         return inclusion_residual(self.corange, self.range)
-
-    @_lazy
-    def quasiposinormal_residual(self):
-        """Residual of N(m) inside N(m*), computed once."""
-        return inclusion_residual(self.kernel, self.cokernel)
 
     @_lazy
     def ep_residual(self):
@@ -212,6 +208,8 @@ def _factor(m, cfg, scale=None):
     else:
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
 
 

@@ -290,14 +290,40 @@ def test_every_svd_of_the_invariant_range_generator(svd_calls, forget_pair):
     assert (len(svd_calls), sum(svd_calls)) == (7, 4)
 
 
+# classify makes its one factorization, the posinormal and coposinormal
+# cross matrices (quasiposinormal reads the posinormal one: N(m) ⊆ N(m*)
+# is R(m) ⊆ R(m*) in C^n) and EP_r's two
+def test_every_svd_of_classify(svd_calls):
+    a, b = random_commuting_ep_pair(6, 4, 2)
+    svd_calls.clear()
+    classify(a @ b)
+    assert (len(svd_calls), sum(svd_calls)) == (5, 1)
+
+
+# the conditions factor B' and Z (Z singular and nonzero here) and read
+# B' posinormal (none: B' is invertible) and Z coposinormal; the kernel
+# inclusions add B coposinormal and Z posinormal, and read each equality
+# as the block's EP residual, the larger of the two it already has
+def test_every_svd_of_the_block_checks(svd_calls):
+    a, b = random_commuting_ep_pair(12, 6, 1)
+    dec = decompose_pair(a, b)
+    z_values = np.linalg.svd(dec.block_z, compute_uv=False)
+    assert z_values[0] > 0.5 and z_values[-1] < 1e-12
+    svd_calls.clear()
+    posinormal_product_conditions(dec)
+    report = block_kernel_inclusions(dec)
+    assert report.kernel_z_equal is True
+    assert (len(svd_calls), sum(svd_calls)) == (5, 2)
+
+
 # every SVD (all, full) and eigvalsh of the first 20 trials of each suite
 # (seed 20260810, dims 2..8, the regime of a fuzz_small benchmark op); an
 # edit may only lower a count.  commuting_ep reads AB's EP flag and its two
 # inclusion residuals from one factorization, with no classify battery (its
-# commutator, Cholesky, eigensolve, EP_r and quasiposinormal residuals)
+# commutator, Cholesky, eigensolve and EP_r residuals)
 FUZZ_COUNTS = {
-    "block_kernels": (129, 73, 0),
-    "collapse": (67, 20, 20),
+    "block_kernels": (119, 73, 0),
+    "collapse": (59, 20, 20),
     "commuting_ep": (117, 40, 0),
     "commuting_posinormal": (49, 20, 0),
     "group_invertible": (75, 38, 0),

@@ -9,6 +9,7 @@ from eplab import (
     block_kernel_inclusions,
     classify,
     decompose_pair,
+    factor,
     posinormal_product_conditions,
     random_commuting_ep_pair,
     random_ep,
@@ -17,8 +18,21 @@ from eplab import (
 )
 from eplab.fuzz import _mixed_square
 from eplab.kernel import embed
+from eplab.subspaces import inclusion_residual
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # the spectral norm of the 2x2 shear
+
+
+def _block_draws():
+    """200 seeded (B', Z, A, B): A = U diag(I_k, 0) U* and B = U (B' ⊕ Z) U*
+    commute and N(A) reduces both, so X = Y = 0."""
+    for seed in range(200):
+        rng = np.random.default_rng(7100 + seed)
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n))
+        bp, z = _mixed_square(rng, k), _mixed_square(rng, n - k)
+        u = random_unitary(n, rng)
+        yield bp, z, embed(u, np.eye(k)), embed(u, bp, z)
 
 
 class TestDecompose:
@@ -123,24 +137,15 @@ class TestKernelInclusions:
         assert posinormal_product_conditions(dec).y_zero is True
 
     def test_each_flag_is_its_block_being_ep(self):
-        # A = U diag(I_k, 0) U* and B = U (B' ⊕ Z) U* commute and N(A)
-        # reduces both, so X = Y = 0; for square blocks N(M) ⊆ N(M*) iff
-        # M is EP iff rank [M; M*] = rank M
+        # for square blocks N(M) ⊆ N(M*) iff M is EP iff rank [M; M*] = rank M
         def ep(m):
             return np.linalg.matrix_rank(np.vstack([m, m.conj().T])) == (
                 np.linalg.matrix_rank(m)
             )
 
         wrong, seen = [], set()
-        for seed in range(200):
-            rng = np.random.default_rng(7100 + seed)
-            n = int(rng.integers(2, 9))
-            k = int(rng.integers(1, n))
-            bp, z = _mixed_square(rng, k), _mixed_square(rng, n - k)
-            u = random_unitary(n, rng)
-            report = block_kernel_inclusions(
-                decompose_pair(embed(u, np.eye(k)), embed(u, bp, z))
-            )
+        for seed, (bp, z, a, b) in enumerate(_block_draws()):
+            report = block_kernel_inclusions(decompose_pair(a, b))
             got = (report.kernel_bprime_included, report.kernel_z_included)
             want = (ep(bp), ep(z))
             seen.add(got)
@@ -148,6 +153,32 @@ class TestKernelInclusions:
                 wrong.append((seed, got, want))
         assert wrong == []
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_kernel_facts_read_the_range_facts(self):
+        # in C^n N(M) ⊆ N(M*) iff R(M) ⊆ R(M*) (orthogonal complements), and
+        # N(M) = N(M*) iff M is EP: one residual each, bit for bit; the kernel
+        # cross matrix U_r* V_⊥ is the adjoint of the range one, so it has the
+        # same sines up to roundoff
+        equalities = 0
+        for bp, z, a, b in _block_draws():
+            for m in (bp, z, b):
+                f, report = factor(m), classify(m)
+                residuals = report.residuals
+                assert residuals["quasiposinormal_inclusion"] == residuals[
+                    "posinormal_inclusion"
+                ]
+                assert report.quasiposinormal == report.posinormal
+                kernel_route = inclusion_residual(f.kernel, f.cokernel)
+                assert abs(kernel_route - f.posinormal_residual) <= 1e-14
+            dec = decompose_pair(a, b)
+            report = block_kernel_inclusions(dec)
+            assert report.kernel_z_residual == dec.fz.posinormal_residual
+            assert report.kernel_bprime_residual == dec.fbp.posinormal_residual
+            if report.kernel_z_equal is not None:
+                equalities += 1
+                assert report.kernel_z_equal_residual == dec.fz.ep_residual
+                assert report.kernel_bprime_equal_residual == dec.fbp.ep_residual
+        assert equalities > 0
 
     def test_noncommuting_inapplicable(self):
         a = np.diag([1.0, 0.0]).astype(complex)

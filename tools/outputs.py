@@ -1,0 +1,126 @@
+"""Record eplab's CLI outputs from one checkout, or compare two recordings.
+
+    python tools/outputs.py [--src DIR] OUT.jsonl   # eplab from DIR, default ./src
+    python tools/outputs.py --compare A.jsonl B.jsonl
+
+A recording is one JSON line per run of :func:`_runs`.  Its input files go
+to OUT.inputs, named relative to it, so paths echo alike from any checkout.
+Comparing prints each changed float field with its count, runs and largest
+|change|, then every other change (flags, counts, exit codes, text).
+"""
+
+import argparse, contextlib, io, itertools, json, math, os, sys  # noqa: E401
+from pathlib import Path
+
+import numpy as np
+
+SUITES = ("block_kernels collapse commuting_ep commuting_posinormal group_invertible "
+          "hartwig_katz invariant_range johnson_vinoth powers same_kernel").split()
+FAMILIES = ("tilted_projections", "shift_block", "weighted_shift")
+
+
+def _write(name, m):
+    fields = (" ".join(f"{float(z.real)!r}:{float(z.imag)!r}" for z in row) for row in m)
+    rows = "".join(f"{line}\n" for line in fields)
+    Path(name).write_text(f"cmat 1 {m.shape[0]} {m.shape[1]}\n{rows}")
+    return name
+
+
+def _random_pairs():
+    """(name, A, B) in one frame U: A = U (I ⊕ 0) U* against B = U (B' ⊕ Z) U*
+    (rank-one B', Z), a same-kernel pair, EP U (C ⊕ 0) U* against a Gaussian."""
+    for n, seed in itertools.product(range(3, 8), range(4)):
+        rng = np.random.default_rng([n, seed])
+        g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u, k = np.linalg.qr(g(n, n))[0], n // 2
+        a, b, c = (np.zeros((n, n), complex) for _ in range(3))
+        a[:k, :k], c[:k, :k] = np.eye(k), g(k, k)
+        b[:k, :k], b[k:, k:] = g(k, 1) @ g(1, k), g(n - k, 1) @ g(1, n - k)
+        yield f"commuting{n}_{seed}", u @ a @ u.conj().T, u @ b @ u.conj().T
+        v = np.linalg.qr(g(n, n))[0][:, : n - 1].conj().T
+        yield f"same_kernel{n}_{seed}", g(n, n - 1) @ v, g(n, n - 1) @ v
+        yield f"ep_gaussian{n}_{seed}", u @ c @ u.conj().T, g(n, n)
+
+
+def _runs():
+    """classify, product and decompose on the catalog's matrices, their ordered
+    pairs and the random pairs; every fuzz suite at two seeds, two subspace
+    tolerances and --jobs 1 and 2; truncate for each family."""
+    files = []
+    for name in json.loads(_call(["catalog"])[1])["result"]["names"]:
+        emitted = _call(["catalog", name, "--emit", "--out", "."])[1]
+        files += json.loads(emitted)["result"]["files"]
+    pairs = list(itertools.product(files, repeat=2))
+    for name, a, b in _random_pairs():
+        pairs.append((_write(f"{name}_a.cmat", a), _write(f"{name}_b.cmat", b)))
+        files += pairs[-1]
+    yield from (["classify", f] for f in files)
+    for command in ("product", "decompose"):
+        yield from ([command, a, b] for a, b in pairs)
+    grid = itertools.product(SUITES, ("20260810", "7"), ("1e-8", "1e-15"), "12")
+    for suite, seed, tol, jobs in grid:
+        yield ["--tol-subspace", tol, "fuzz", suite, "--seed", seed,
+               "--trials", "300", "--dims", "2:8", "--jobs", jobs]
+    yield from (["truncate", family, "--dims", "2:24"] for family in FAMILIES)
+
+
+def _call(argv):
+    from eplab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _leaves(x, path=""):
+    if isinstance(x, dict):
+        for key in x:
+            yield from _leaves(x[key], f"{path}.{key}")
+    elif isinstance(x, list):
+        yield f"{path}.len", len(x)
+        for item in x:
+            yield from _leaves(item, f"{path}[]")
+    else:
+        yield path, x
+
+
+def compare(path_a, path_b):
+    a, b = ({r["key"]: r for r in map(json.loads, Path(p).read_text().splitlines())}
+            for p in (path_a, path_b))
+    print(f"runs: {len(a)} / {len(b)}, in one only: {sorted(a.keys() ^ b.keys())}")
+    floats, other = {}, []
+    for key in sorted(a.keys() & b.keys()):
+        for (field, x), (field_b, y) in zip(_leaves(a[key]), _leaves(b[key])):
+            is_float = type(x) is float and type(y) is float and field == field_b
+            if is_float and not (x == y or math.isnan(x) and math.isnan(y)):
+                count, worst, runs = floats.get(field, (0, 0.0, set()))
+                floats[field] = (count + 1, max(worst, abs(x - y)), runs | {key})
+            elif not is_float and (field, x) != (field_b, y):
+                other.append(f"{key}: {field}={x!r} vs {field_b}={y!r}")
+                break  # the rest of this run no longer lines up
+    for field, (count, worst, runs) in sorted(floats.items()):
+        print(f"float {field}: {count} in {len(runs)} runs, max |d| {worst:.3g}")
+        print(*(f"    {run}" for run in sorted(runs)[:4]), sep="\n")
+    print(f"non-float changes: {len(other)}", *(f"    {o}" for o in other), sep="\n")
+    return 1 if other or a.keys() != b.keys() else 0
+
+
+if __name__ == "__main__":
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", nargs="?")
+    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = p.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    sink_path, inputs = Path(args.out).resolve(), Path(args.out + ".inputs").resolve()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    inputs.mkdir(exist_ok=True)
+    os.chdir(inputs)
+    with open(sink_path, "w") as sink:
+        for argv in _runs():
+            code, out, err = _call(argv)
+            record = {"key": " ".join(argv), "exit": code, "stderr": err}
+            record["stdout"] = json.loads(out) if out else None
+            sink.write(json.dumps(record) + "\n")
