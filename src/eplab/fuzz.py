@@ -209,8 +209,10 @@ def _t_collapse(rng, dims, cfg):
     ep_proj = within(res_proj, cfg.subspace_tol, "projector_commutator")
     routes_agree = report.hypo_ep == ep_proj or bool(conflicts)
     normal_agree = report.hyponormal == report.normal
+    # quasiposinormal reads the posinormal residual, so it cannot differ
+    collapsed = len({flags[k] for k in ("posinormal", "hypo_ep", "ep")}) == 1
     return [
-        ("flag_collapse", len(set(flags.values())) == 1, {**flags, **res}),
+        ("flag_collapse", collapsed, {**flags, **res}),
         ("hyponormal_normal", normal_agree, {"commutator": res["commutator"]}),
         ("route_agreement", routes_agree, {"projector_residual": res_proj}),
         ("classification_conflict", not conflicts, {"conflicts": "; ".join(conflicts)}),

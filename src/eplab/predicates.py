@@ -56,7 +56,8 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "coposinormal_inclusion": r_copos,
         # in C^n N(m) ⊆ N(m*) iff R(m) ⊆ R(m*): take orthogonal complements
         "quasiposinormal_inclusion": r_pos,
-        "ep_equality": f.ep_residual,
+        # both sides, computed independently, as both flags are reported
+        "ep_equality": max(r_pos, r_copos),
         "projector_commutator": float(np.linalg.norm(f.projector_commutator)),
         "ep_r_equality": equality_residual(f.kernel, ker_t),
     }
@@ -95,7 +96,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
 
 
 def is_ep(m, cfg=DEFAULT_TOLERANCES):
-    """R(m) = R(m*) from one factorization and up to two cross-matrix SVDs.
+    """R(m) = R(m*) from one factorization and at most one cross-matrix SVD.
 
     Returns ``(flag, residual)``; used by the procedures where the
     full report would be wasteful.

@@ -8,9 +8,11 @@ pair's product is factored from its operands' factors and the SVD of
 their r_a×r_b core, and decided against its unit scale.
 Subspaces are compared through one cross matrix, s2's complement* Q1,
 whose singular values are the sines of the principal angles of s1 against
-s2 (Björck-Golub).  Inclusion and equality read the largest sine, never
-dimension comparison, so they stay meaningful when two spaces share a
-dimension but differ.  Intersection and sum take the principal vectors
+s2 (Björck-Golub).  Inclusion reads the largest sine, never dimension
+comparison, so it stays meaningful when two spaces share a dimension but
+differ.  Equality reads one cross matrix: between spaces of equal
+dimension the sines are symmetric, and spaces of unequal dimension are
+unequal with no SVD.  Intersection and sum take the principal vectors
 whose sines are within ``subspace_tol`` and carry their complement.
 """
 
@@ -112,7 +114,9 @@ class Factorization:
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
     R(m*), the rest the kernel N(m).  Each view is built on first use and
     carries the other columns as its complement.  Two cross matrices decide
-    the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n.
+    the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n, and so is
+    R(m) = R(m*), both spaces having dimension rank m: EP reads the
+    posinormal one.
     """
 
     m: np.ndarray
@@ -155,8 +159,9 @@ class Factorization:
 
     @_lazy
     def ep_residual(self):
-        """Residual of R(m) = R(m*): the larger of the two above."""
-        return max(self.posinormal_residual, self.coposinormal_residual)
+        """Residual of R(m) = R(m*): the posinormal residual."""
+        # R(m) and R(m*) both have dimension rank m, so R(m) ⊆ R(m*) is equality
+        return self.posinormal_residual
 
     @_lazy
     def projector_commutator(self):
@@ -366,7 +371,12 @@ def includes(s1, s2, cfg=DEFAULT_TOLERANCES):
 
 
 def equality_residual(s1, s2):
-    return max(inclusion_residual(s1, s2), inclusion_residual(s2, s1))
+    """Residual of s1 = s2: 1.0, with no SVD, when the dimensions differ (a
+    unit vector of the larger space is orthogonal to the smaller one), else
+    :func:`inclusion_residual` of s1 in s2, one cross matrix: between
+    subspaces of equal dimension the principal-angle sines are symmetric."""
+    _check_same_ambient(s1, s2)
+    return inclusion_residual(s1, s2) if s1.dim == s2.dim else 1.0
 
 
 def equals(s1, s2, cfg=DEFAULT_TOLERANCES):

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -6,7 +7,9 @@ import pytest
 
 from eplab import (
     DEFAULT_TOLERANCES,
+    DimensionMismatchError,
     Factorization,
+    InapplicableError,
     Subspace,
     ToleranceConfig,
     block_kernel_inclusions,
@@ -31,9 +34,10 @@ from eplab import (
 )
 from eplab import kernel, subspaces
 from eplab.cli import main
-from eplab.fuzz import SUITES, run_trial
+from eplab.fuzz import SUITES, _mixed_square, run_trial
+from eplab.generators import _complex_gaussian
 from eplab.kernel import rank_threshold
-from eplab.subspaces import equality_residual, kernel_basis
+from eplab.subspaces import equality_residual, inclusion_residual, kernel_basis
 
 
 def _mixed(seed, n=5, r=3):
@@ -67,7 +71,8 @@ class TestViews:
         f = factor(_mixed(2))
         assert f.range is f.range and f.kernel is f.kernel and f.pinv is f.pinv
         assert f.projector_commutator is f.projector_commutator
-        assert f.ep_residual == max(f.posinormal_residual, f.coposinormal_residual)
+        # R(m) and R(m*) share a dimension: one inclusion decides equality
+        assert f.ep_residual == f.posinormal_residual
         assert "ep_residual" in vars(f)  # kept on first use
 
     def test_pinv_matches_numpy(self):
@@ -272,38 +277,127 @@ def test_full_svd_count(name, full_svds, forget_pair):
 
 # every SVD of one cold call, singular-value-only ones included, as
 # (all, full): the sweep's sigma_min_plus and EP flag read AB's one
-# factorization, with the minimal angle and AB's EP residual as the rest;
-# the invariant-range generator factors the span it draws and nothing else,
-# and the range identity of the draw decides A, B and AB's core on its pair,
-# so together they factor each of the four once (here the span is the whole
-# space, and the singular-value-only SVDs are the eigenbasis's cond and the
-# two inclusion residuals of R(AB) = R(A)).
+# factorization, with the minimal angle and AB's EP residual (one cross
+# matrix) as the rest; the invariant-range generator factors the span it
+# draws and nothing else, and the range identity of the draw decides A, B
+# and AB's core on its pair, so together they factor each of the four once
+# (here the span is the whole space, and the singular-value-only SVDs are
+# the eigenbasis's cond and the one cross matrix of R(AB) = R(A), spaces of
+# one dimension).
 def test_every_svd_of_the_sweep(svd_calls):
     sweep("shift_block", [2, 3, 4])
-    assert (len(svd_calls), sum(svd_calls)) == (21, 12)
+    assert (len(svd_calls), sum(svd_calls)) == (18, 12)
 
 
 def test_every_svd_of_the_invariant_range_generator(svd_calls, forget_pair):
     a = random_ep(6, 3, 1, cond_cap=1e2)
     svd_calls.clear()
     product_range_identity(a, random_invariant_range_b(a, 2))
-    assert (len(svd_calls), sum(svd_calls)) == (7, 4)
+    assert (len(svd_calls), sum(svd_calls)) == (6, 4)
 
 
 # classify makes its one factorization, the posinormal and coposinormal
 # cross matrices (quasiposinormal reads the posinormal one: N(m) ⊆ N(m*)
-# is R(m) ⊆ R(m*) in C^n) and EP_r's two
+# is R(m) ⊆ R(m*) in C^n) and EP_r's one (N(m) and N(m^T) share a dimension)
 def test_every_svd_of_classify(svd_calls):
     a, b = random_commuting_ep_pair(6, 4, 2)
     svd_calls.clear()
     classify(a @ b)
-    assert (len(svd_calls), sum(svd_calls)) == (5, 1)
+    assert (len(svd_calls), sum(svd_calls)) == (4, 1)
+
+
+def _equal_dimension_draws():
+    """(n, m): random_ep at every rank, _mixed_square draws of all four
+    kinds and rank-deficient Gaussian products, five rounds at n 2..8 (630
+    draws), then a few at n = 48 and 96."""
+    rng = np.random.default_rng(20261019)
+    kinds = set()
+    for _ in range(5):
+        for n in range(2, 9):
+            for r in range(n + 1):
+                yield n, random_ep(n, r, rng)
+            for r in range(n):
+                yield n, _complex_gaussian(rng, n, r) @ _complex_gaussian(rng, r, n)
+            for _ in range(7):
+                kinds.add(int(copy.deepcopy(rng).integers(0, 4)))  # its first draw
+                yield n, _mixed_square(rng, n)
+    assert kinds == {0, 1, 2, 3}
+    for n in (48, 96):
+        for r in (1, n // 2, n - 1):
+            yield n, random_ep(n, r, rng)
+        yield n, _complex_gaussian(rng, n, n // 3) @ _complex_gaussian(rng, n // 3, n)
+        yield n, _mixed_square(rng, n)
+
+
+# R(m) and R(m*) both have dimension rank m, and N(m) and N(m^T) both
+# n - rank m, so each pair's principal-angle sines are symmetric
+# (Bjorck-Golub): one cross matrix decides each equality, and the other
+# agrees with it to roundoff
+def test_one_cross_matrix_decides_an_equal_dimension_equality():
+    eps, draws = np.finfo(float).eps, 0
+    for n, m in _equal_dimension_draws():
+        f, bound = factor(m), 8 * eps * n
+        assert abs(f.posinormal_residual - f.coposinormal_residual) <= bound
+        # N(m^T) = conj N(m*), as classify builds it
+        ker_t = subspaces._spanned(f.cokernel.basis.conj(), f.range.basis.conj())
+        forward, backward = (
+            inclusion_residual(f.kernel, ker_t), inclusion_residual(ker_t, f.kernel)
+        )
+        assert abs(forward - backward) <= bound
+        assert equality_residual(f.kernel, ker_t) == forward
+        assert f.ep_residual == f.posinormal_residual
+        draws += 1
+    assert draws >= 600
+
+
+def test_unequal_dimensions_are_unequal_without_an_svd(svd_calls):
+    f = factor(_mixed(5, n=6, r=2))
+    spaces = [f.range, f.kernel, Subspace(6, np.eye(6)[:, :3]), Subspace.trivial(6)]
+    svd_calls.clear()
+    for s1 in spaces:
+        for s2 in spaces:
+            if s1.dim != s2.dim:
+                assert equality_residual(s1, s2) == 1.0
+    other = Subspace(5, np.eye(5)[:, :1])
+    with pytest.raises(DimensionMismatchError):
+        equality_residual(f.range, other)
+    assert svd_calls == []
+
+
+# every SVD of the large-pair benchmark's battery, as (all, full): classify
+# of AB, the product facts, Djordjevic's EP gate, the decomposition and both
+# block checks, on a commuting EP pair and on EP operands in general
+# position, whose block inclusions are inapplicable
+def _pair_battery(a, b):
+    classify(a @ b)
+    hartwig_katz(a, b)
+    johnson_vinoth_check(a, b)
+    djordjevic_check(a, b)
+    dec = decompose_pair(a, b)
+    posinormal_product_conditions(dec)
+    try:
+        block_kernel_inclusions(dec)
+    except InapplicableError:
+        pass
+
+
+@pytest.mark.parametrize(
+    ("kind", "counts"), [("commuting", (22, 7)), ("generic", (18, 8))]
+)
+def test_every_svd_of_the_pair_battery(kind, counts, svd_calls, forget_pair):
+    if kind == "commuting":
+        a, b = random_commuting_ep_pair(12, 6, 5)
+    else:
+        a, b = random_ep(12, 6, 6), random_ep(12, 6, 7)
+    svd_calls.clear()
+    _pair_battery(a, b)
+    assert (len(svd_calls), sum(svd_calls)) == counts
 
 
 # the conditions factor B' and Z (Z singular and nonzero here) and read
 # B' posinormal (none: B' is invertible) and Z coposinormal; the kernel
 # inclusions add B coposinormal and Z posinormal, and read each equality
-# as the block's EP residual, the larger of the two it already has
+# as the block's EP residual, the posinormal one it already has
 def test_every_svd_of_the_block_checks(svd_calls):
     a, b = random_commuting_ep_pair(12, 6, 1)
     dec = decompose_pair(a, b)
@@ -323,15 +417,15 @@ def test_every_svd_of_the_block_checks(svd_calls):
 # commutator, Cholesky, eigensolve and EP_r residuals)
 FUZZ_COUNTS = {
     "block_kernels": (119, 73, 0),
-    "collapse": (59, 20, 20),
-    "commuting_ep": (117, 40, 0),
+    "collapse": (51, 20, 20),
+    "commuting_ep": (101, 40, 0),
     "commuting_posinormal": (49, 20, 0),
-    "group_invertible": (75, 38, 0),
-    "hartwig_katz": (210, 74, 0),
-    "invariant_range": (137, 80, 0),
+    "group_invertible": (55, 38, 0),
+    "hartwig_katz": (157, 74, 0),
+    "invariant_range": (128, 80, 0),
     "johnson_vinoth": (96, 52, 0),
-    "powers": (205, 68, 0),
-    "same_kernel": (104, 40, 0),
+    "powers": (150, 68, 0),
+    "same_kernel": (84, 40, 0),
 }
 
 
