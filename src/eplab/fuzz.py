@@ -6,8 +6,11 @@ failed check is one :class:`Violation`, with the per-trial seed and the
 residuals needed to replay and triage it.  A trial makes two checks in
 ``same_kernel`` and ``commuting_ep``, four in ``block_kernels`` (one when
 its applicability gate raises) and ``collapse``, five in ``powers`` (one
-per power) and one elsewhere.  ``commuting_ep`` reads AB's EP flag and
-both its inclusion residuals from AB's one factorization.
+per power) and one elsewhere.  A check decides from the residuals it
+reads.  Its details are a dict, or a function that builds one from the
+full report, called only when the check fails: ``hartwig_katz`` decides
+from cond_i, cond_ii and ab_ep alone and ``commuting_ep`` from AB's EP
+residual, and a failure reports the full report's residuals.
 
 Trial seeds are derived as ``SeedSequence((master_seed, trial_index))``, so
 runs are reproducible and independent of how trials are scheduled; parallel
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within
+from .config import DEFAULT_TOLERANCES, within, within_each
 from .errors import InapplicableError, InputError
 from .generators import (
     _complex_gaussian,
@@ -35,14 +38,15 @@ from .generators import (
 )
 from .predicates import classify, is_ep
 from .products import (
+    _hartwig_katz,
     group_invertible_check,
     hartwig_katz,
     johnson_vinoth_check,
     power_ep,
     product_range_identity,
 )
-from .structure import block_kernel_inclusions, decompose_pair, posinormal_product_conditions
-from .subspaces import _factor
+from .structure import block_kernel_inclusions, decompose_pair
+from .subspaces import _factor, factor_pair
 
 _PAIR_COND_CAP = 1e2   # cores entering products
 _POWER_COND_CAP = 5.0  # cores raised to the 5th power
@@ -97,9 +101,10 @@ def _mixed_square(rng, n):
 
 def _t_hartwig_katz(rng, dims, cfg):
     n = _pick_dim(rng, dims)
-    report = hartwig_katz(_ep(rng, n), _ep(rng, n), cfg)
-    holds = report.ab_ep == (report.cond_i and report.cond_ii)
-    return [("biconditional", holds, report.residuals)]
+    a, b = _ep(rng, n), _ep(rng, n)
+    flags = within_each(factor_pair(a, b, cfg).fact(_hartwig_katz), cfg.subspace_tol)
+    holds = flags["ab_ep"] == (flags["cond_i"] and flags["cond_ii"])
+    return [("biconditional", holds, lambda: hartwig_katz(a, b, cfg).residuals)]
 
 
 def _t_group_invertible(rng, dims, cfg):
@@ -149,10 +154,13 @@ def _t_commuting_ep(rng, dims, cfg):
     fab = _factor(a @ b, cfg)
     ep = within(fab.ep_residual, cfg.subspace_tol, "ep residual")
     ep_ba, res_ba = is_ep(b @ a, cfg)
-    inclusions = {
-        "posinormal_residual": fab.posinormal_residual,
-        "coposinormal_residual": fab.coposinormal_residual,
-    }
+
+    def inclusions():
+        return {
+            "posinormal_residual": fab.posinormal_residual,
+            "coposinormal_residual": fab.coposinormal_residual,
+        }
+
     orders = {"ab_residual": fab.ep_residual, "ba_residual": res_ba}
     return [("product_ep", ep, inclusions), ("order_agreement", ep == ep_ba, orders)]
 
@@ -178,9 +186,8 @@ def _t_block_kernels(rng, dims, cfg):
         report = block_kernel_inclusions(dec)
     except InapplicableError as exc:
         return [("applicability", False, {"error": str(exc), **dec.residuals})]
-    conditions = posinormal_product_conditions(dec)
-    x_norm = float(np.linalg.norm(dec.block_x))
-    x_zero = within(x_norm, cfg.subspace_tol, "x_norm")
+    x_norm, y_norm = (float(np.linalg.norm(m)) for m in (dec.block_x, dec.block_y))
+    tol = cfg.subspace_tol
     return [
         ("kernel_z", report.kernel_z_included, {"residual": report.kernel_z_residual}),
         (
@@ -188,8 +195,8 @@ def _t_block_kernels(rng, dims, cfg):
             report.kernel_bprime_included,
             {"residual": report.kernel_bprime_residual},
         ),
-        ("y_zero", conditions.y_zero, {"y_norm": conditions.y_norm}),
-        ("x_zero", x_zero, {"x_norm": x_norm}),
+        ("y_zero", within(y_norm, tol, "y_norm"), {"y_norm": y_norm}),
+        ("x_zero", within(x_norm, tol, "x_norm"), {"x_norm": x_norm}),
     ]
 
 
@@ -249,13 +256,14 @@ def _suite(name):
 
 def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):
     """One trial, fully determined by (suite, master_seed, trial, dims):
-    its violations, one for each failed check in check order, and its
-    number of checks."""
+    its violations, one for each failed check in check order, with the
+    details a failed check builds, and its number of checks."""
     rng = np.random.default_rng(trial_seed(master_seed, trial))
     records = _suite(suite)(rng, tuple(dims), cfg)
     seed = (int(master_seed), int(trial))
     violations = [
-        Violation(trial=trial, seed=seed, kind=kind, details=dict(details))
+        Violation(trial=trial, seed=seed, kind=kind,
+                  details=dict(details() if callable(details) else details))
         for kind, holds, details in records
         if not holds
     ]

@@ -70,11 +70,16 @@ class JohnsonVinothReport:
     residuals: dict
 
 
+def _cond_i(pair):
+    """R(AB) ⊆ R(B): Hartwig–Katz's cond_i, the range identity's hypothesis."""
+    return inclusion_residual(pair.fab.range, pair.fb.range)
+
+
 def _range_identity(pair):
     """R(AB) ⊆ R(B) and R(AB) = R(A) ∩ R(B) for the pair."""
     fa, fb, fab, cfg = pair.fa, pair.fb, pair.fab, pair.cfg
     residuals = {
-        "hypothesis": inclusion_residual(fab.range, fb.range),
+        "hypothesis": pair.fact(_cond_i),
         "conclusion": equality_residual(fab.range, intersect(fa.range, fb.range, cfg)),
     }
     return RangeIdentityReport(
@@ -82,18 +87,29 @@ def _range_identity(pair):
     )
 
 
+def _hartwig_katz(pair):
+    """The residuals of the Hartwig–Katz theorem's facts, which its fuzz
+    suite reads alone: cond_i, cond_ii and ab_ep."""
+    return {
+        "cond_i": pair.fact(_cond_i),
+        "cond_ii": inclusion_residual(pair.fa.kernel, pair.fab.kernel),
+        "ab_ep": pair.fab.ep_residual,
+    }
+
+
 def _product_report(pair):
-    """Product facts for the pair; ``cond_i`` and ``range_identity`` are the
-    range-identity residuals."""
+    """Product facts for the pair: the Hartwig–Katz residuals, the operands'
+    EP residuals and Djordjević's identities, of which ``range_identity`` is
+    the range identity's conclusion."""
     fa, fb, fab, cfg = pair.fa, pair.fb, pair.fab, pair.cfg
-    shared = pair.report(_range_identity).residuals
+    theorem = pair.fact(_hartwig_katz)
     residuals = {
-        "cond_i": shared["hypothesis"],
-        "cond_ii": inclusion_residual(fa.kernel, fab.kernel),
+        "cond_i": theorem["cond_i"],
+        "cond_ii": theorem["cond_ii"],
         "a_ep": fa.ep_residual,
         "b_ep": fb.ep_residual,
-        "ab_ep": fab.ep_residual,
-        "range_identity": shared["conclusion"],
+        "ab_ep": theorem["ab_ep"],
+        "range_identity": pair.fact(_range_identity).residuals["conclusion"],
         "kernel_identity": equality_residual(
             fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
         ),

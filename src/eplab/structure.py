@@ -13,13 +13,12 @@ never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
 from .errors import InapplicableError
-from .subspaces import Factorization, _factor, _lazy, factor_pair
+from .subspaces import _factor, _lazy, factor_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +30,8 @@ class BlockDecomposition:
     product.  ``residuals`` carries ``reducing`` = ||K*AQ|| + ||Q*AK|| +
     ||K*AK|| (zero exactly when N(A) reduces A; in units of ‖A‖₂),
     ``commutation`` = ||AB - BA|| and ``ya`` = ||Y A'|| (both in units of
-    ‖A‖₂‖B‖₂).  ``fb`` is B's factorization (not the pair, which keeps
-    the decomposition) and ``cfg`` the config the pair was decomposed
-    under; the block checks read both from here.
+    ‖A‖₂‖B‖₂).  ``cfg`` is the config the pair was decomposed under; the
+    block checks read it from here.
     ``fbp`` and ``fz`` factor B' and Z on first use and keep them, each
     decided against 1, the norm of the unit-scaled B it is a block of: a
     roundoff block has rank 0.
@@ -46,7 +44,6 @@ class BlockDecomposition:
     block_y: np.ndarray
     block_z: np.ndarray
     residuals: dict
-    fb: Factorization
     cfg: ToleranceConfig
 
     fbp = _lazy(lambda self: _factor(self.block_b_prime, self.cfg, 1.0))
@@ -73,19 +70,20 @@ class InclusionReport:
 
     ``kernel_z_included``: N(Z) contained in N(Z*).
     ``kernel_bprime_included``: N(B') contained in N(B'*).
-    The ``*_equal`` fields hold the equality versions, populated only when
-    the compressed operator is also coposinormal, else None.  Each residual
-    is its block's posinormal (inclusion) or EP (equality) residual.
+    The ``*_equal`` fields hold the equality versions N(Z) = N(Z*) and
+    N(B') = N(B'*).  In C^n a block's kernel and its adjoint's kernel have
+    one dimension, so each equality is its inclusion: its flag and residual
+    are the inclusion's.  Each residual is its block's posinormal residual.
     """
 
     kernel_z_included: bool
     kernel_z_residual: float
     kernel_bprime_included: bool
     kernel_bprime_residual: float
-    kernel_z_equal: Optional[bool] = None
-    kernel_z_equal_residual: Optional[float] = None
-    kernel_bprime_equal: Optional[bool] = None
-    kernel_bprime_equal_residual: Optional[float] = None
+    kernel_z_equal: bool
+    kernel_z_equal_residual: float
+    kernel_bprime_equal: bool
+    kernel_bprime_equal_residual: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ def _decompose(pair):
         block_y=y,
         block_z=ub[r:, r:],
         residuals=residuals,
-        fb=pair.fb,
         cfg=pair.cfg,
     )
 
@@ -141,7 +138,9 @@ def block_kernel_inclusions(dec):
     not finite.  Each bound is the decomposition's ``subspace_tol``: the
     residuals are those of the unit-scaled operands.  Past the gate, B maps
     R(A) = N(A)^perp into itself, so Y = 0 in C^n and N(Y), N(Y*) drop out.
-    In C^n N(M) ⊆ N(M*) is R(M) ⊆ R(M*), and N(M) = N(M*) is M being EP.
+    In C^n N(M) ⊆ N(M*) is R(M) ⊆ R(M*), and it is N(M) = N(M*), M being
+    EP: the equality versions hold whenever the inclusions do, so they are
+    reported for every pair that passes the gates, with no further test.
     """
     tol = dec.cfg.subspace_tol
     if not within(dec.residuals["commutation"], tol, "commutation"):
@@ -155,25 +154,16 @@ def block_kernel_inclusions(dec):
         )
 
     r_z, r_bp = (f.posinormal_residual for f in (dec.fz, dec.fbp))
-
-    z_equal = z_equal_res = bp_equal = bp_equal_res = None
-    # the equality versions apply when the compressed B, unitarily similar
-    # to B, is coposinormal: B's own factorization decides it
-    if within(dec.fb.coposinormal_residual, tol, "block inclusion"):
-        z_equal_res = dec.fz.ep_residual
-        z_equal = within(z_equal_res, tol, "kernel_z_equal")
-        bp_equal_res = dec.fbp.ep_residual
-        bp_equal = within(bp_equal_res, tol, "kernel_bprime_equal")
-
+    z, bp = within(r_z, tol, "kernel_z"), within(r_bp, tol, "kernel_bprime")
     return InclusionReport(
-        kernel_z_included=within(r_z, tol, "kernel_z"),
+        kernel_z_included=z,
         kernel_z_residual=r_z,
-        kernel_bprime_included=within(r_bp, tol, "kernel_bprime"),
+        kernel_bprime_included=bp,
         kernel_bprime_residual=r_bp,
-        kernel_z_equal=z_equal,
-        kernel_z_equal_residual=z_equal_res,
-        kernel_bprime_equal=bp_equal,
-        kernel_bprime_equal_residual=bp_equal_res,
+        kernel_z_equal=z,
+        kernel_z_equal_residual=r_z,
+        kernel_bprime_equal=bp,
+        kernel_bprime_equal_residual=r_bp,
     )
 
 

@@ -258,8 +258,8 @@ def _factor_product(fa, fb, cfg):
 class FactoredPair:
     """A validated square pair (A, B) under one tolerance config, with
     read-only copies of the operands.  The factorizations ``fa``, ``fb`` and
-    ``fab``, and each report :meth:`report` builds from them, are made on
-    first use and kept.  ``fab`` factors the product of the unit-scaled
+    ``fab``, and each fact or report built from them, are made on first use
+    and kept.  ``fab`` factors the product of the unit-scaled
     operands (AB up to a positive scalar, so every range, kernel and EP fact
     of AB) from ``fa`` and ``fb`` and the SVD of their r_a×r_b core, and
     decides its rank against 1, the unit scale of the product.
@@ -274,12 +274,17 @@ class FactoredPair:
     fb = _lazy(lambda self: _factor(self.b, self.cfg))
     fab = _lazy(lambda self: _factor_product(self.fa, self.fb, self.cfg))
 
-    def report(self, build):
-        """``build(self)``, built on the first request and kept; each call
-        returns a copy whose ``residuals`` dict is the caller's own."""
+    def fact(self, build):
+        """``build(self)``, built on the first request and kept; the kept
+        value itself, which callers read and do not change."""
         if build not in self._reports:
             self._reports[build] = build(self)
-        built = self._reports[build]
+        return self._reports[build]
+
+    def report(self, build):
+        """The :meth:`fact` ``build``, copied so that its ``residuals`` dict
+        is the caller's own."""
+        built = self.fact(build)
         return replace(built, residuals=dict(built.residuals))
 
 

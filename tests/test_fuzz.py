@@ -1,6 +1,20 @@
+import numpy as np
 import pytest
 
-from eplab import InputError, SUITES, ToleranceConfig, run_suite, run_trial
+from eplab import (
+    InputError,
+    SUITES,
+    ToleranceConfig,
+    block_kernel_inclusions,
+    classify,
+    decompose_pair,
+    hartwig_katz,
+    is_ep,
+    posinormal_product_conditions,
+    run_suite,
+    run_trial,
+)
+from eplab import fuzz
 
 
 ALL_SUITES = sorted(SUITES)
@@ -47,6 +61,65 @@ def test_each_failed_check_is_one_replayable_violation(suite):
             assert powers == sorted(set(powers))
             assert set(powers) <= {1, 2, 3, 4, 5}
     assert failed or suite == "hartwig_katz"
+
+
+# a rank threshold below roundoff, under which hartwig_katz, commuting_ep and
+# block_kernels fail checks (124, 12 and 25 of 300 trials at seed 20260810)
+FINE_RANK = ToleranceConfig(rank_multiplier=1e-3)
+
+
+def _full_details(suite, rng, cfg):
+    """Each check's details, keyed by kind, read from the full reports of
+    the trial's own draws."""
+    if suite == "hartwig_katz":
+        n = fuzz._pick_dim(rng, DIMS)
+        a, b = fuzz._ep(rng, n), fuzz._ep(rng, n)
+        return {"biconditional": hartwig_katz(a, b, cfg).residuals}
+    if suite == "commuting_ep":
+        a, b = fuzz._commuting_pair(rng, DIMS)
+        residuals = classify(a @ b, cfg).residuals
+        inclusions = {
+            "posinormal_residual": residuals["posinormal_inclusion"],
+            "coposinormal_residual": residuals["coposinormal_inclusion"],
+        }
+        orders = {
+            "ab_residual": is_ep(a @ b, cfg)[1], "ba_residual": is_ep(b @ a, cfg)[1]
+        }
+        return {"product_ep": inclusions, "order_agreement": orders}
+    dec = decompose_pair(*fuzz._commuting_pair(rng, DIMS), cfg)
+    report = block_kernel_inclusions(dec)
+    conditions = posinormal_product_conditions(dec)
+    return {
+        "kernel_z": {"residual": report.kernel_z_residual},
+        "kernel_bprime": {"residual": report.kernel_bprime_residual},
+        "y_zero": {"y_norm": conditions.y_norm},
+        "x_zero": {"x_norm": float(np.linalg.norm(dec.block_x))},
+    }
+
+
+@pytest.mark.parametrize(
+    ("suite", "kind"),
+    [("hartwig_katz", "biconditional"), ("commuting_ep", "product_ep"),
+     ("block_kernels", "y_zero")],
+)
+def test_a_failed_checks_details_are_the_full_reports(suite, kind):
+    # a check decides from the residuals it reads and builds its details
+    # only when it fails; they are the full reports' residuals, bit for bit
+    kinds = set()
+    for t in range(300):
+        violations, _ = run_trial(suite, 20260810, t, DIMS, FINE_RANK)
+        if not violations:
+            continue
+        rng = np.random.default_rng(fuzz.trial_seed(20260810, t))
+        full = _full_details(suite, rng, FINE_RANK)
+        for v in violations:
+            kinds.add(v.kind)
+            want = full[v.kind]
+            assert list(v.details) == list(want)
+            for key, value in want.items():
+                got = np.float64(v.details[key]).tobytes()
+                assert got == np.float64(value).tobytes()
+    assert kind in kinds
 
 
 def test_zero_trials_vacuous_pass():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eplab import (
+    DEFAULT_TOLERANCES,
     InapplicableError,
     InputError,
     classify,
@@ -20,6 +21,10 @@ from eplab import (
     random_unitary,
     range_basis,
 )
+from eplab import subspaces
+from eplab.config import within_each
+from eplab.products import _hartwig_katz
+from eplab.subspaces import factor_pair
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 P = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -28,7 +33,36 @@ JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 NILPOTENT = np.array([[1 + 1j, 1 + 1j], [-1 - 1j, -1 - 1j]])
 
 
+def _ep_pair_draws():
+    """240 seeded EP pairs, drawn as the hartwig_katz fuzz suite draws."""
+    for seed in range(240):
+        rng = np.random.default_rng(12_100 + seed)
+        n = int(rng.integers(2, 9))
+        yield tuple(
+            random_ep(n, int(rng.integers(0, n + 1)), seed=rng, cond_cap=1e2)
+            for _ in range(2)
+        )
+
+
 class TestHartwigKatz:
+    def test_the_theorem_facts_are_the_reports(self):
+        # the hartwig_katz suite decides from cond_i, cond_ii and ab_ep alone,
+        # on a pair of its own; the full report reads the same three facts
+        keys = ("cond_i", "cond_ii", "ab_ep")
+        ab_ep_seen = set()
+        for a, b in _ep_pair_draws():
+            facts = factor_pair(a, b).fact(_hartwig_katz)
+            flags = within_each(facts, DEFAULT_TOLERANCES.subspace_tol)
+            subspaces._last_pair = (None, None)
+            report = hartwig_katz(a, b)
+            assert list(facts) == list(keys)
+            for key in keys:
+                want = np.float64(report.residuals[key]).tobytes()
+                assert np.float64(facts[key]).tobytes() == want
+                assert flags[key] is getattr(report, key)
+            ab_ep_seen.add(report.ab_ep)
+        assert ab_ep_seen == {True, False}
+
     def test_shear_then_projection(self):
         report = hartwig_katz(G, P)
         assert report.cond_i and report.cond_ii
@@ -197,14 +231,10 @@ class TestDjordjevic:
         assert report.ab_ep and report.range_identity and report.kernel_identity
 
     def test_identities_decide_ab_ep_on_random_ep_pairs(self):
-        # drawn as the hartwig_katz fuzz suite draws: for EP operands AB is
-        # EP iff R(AB) = R(A) ∩ R(B) and N(AB) = N(A) + N(B)
+        # for EP operands AB is EP iff R(AB) = R(A) ∩ R(B) and
+        # N(AB) = N(A) + N(B)
         wrong, ab_ep_seen = [], set()
-        for seed in range(240):
-            rng = np.random.default_rng(12_100 + seed)
-            n = int(rng.integers(2, 9))
-            a, b = (random_ep(n, int(rng.integers(0, n + 1)), seed=rng, cond_cap=1e2)
-                    for _ in range(2))
+        for seed, (a, b) in enumerate(_ep_pair_draws()):
             report = hartwig_katz(a, b)
             if not (report.a_ep and report.b_ep):
                 continue

@@ -159,7 +159,6 @@ class TestKernelInclusions:
         # N(M) = N(M*) iff M is EP: one residual each, bit for bit; the kernel
         # cross matrix U_r* V_⊥ is the adjoint of the range one, so it has the
         # same sines up to roundoff
-        equalities = 0
         for bp, z, a, b in _block_draws():
             for m in (bp, z, b):
                 f, report = factor(m), classify(m)
@@ -174,11 +173,26 @@ class TestKernelInclusions:
             report = block_kernel_inclusions(dec)
             assert report.kernel_z_residual == dec.fz.posinormal_residual
             assert report.kernel_bprime_residual == dec.fbp.posinormal_residual
-            if report.kernel_z_equal is not None:
-                equalities += 1
-                assert report.kernel_z_equal_residual == dec.fz.ep_residual
-                assert report.kernel_bprime_equal_residual == dec.fbp.ep_residual
-        assert equalities > 0
+            assert report.kernel_z_equal_residual == dec.fz.ep_residual
+            assert report.kernel_bprime_equal_residual == dec.fbp.ep_residual
+
+    def test_equal_versions_are_the_inclusions(self):
+        # a block's kernel and its adjoint's have one dimension, so each
+        # equality is its inclusion: the same flag and residual, bit for bit,
+        # whether or not B is coposinormal
+        coposinormal = set()
+        for bp, z, a, b in _block_draws():
+            report = block_kernel_inclusions(decompose_pair(a, b))
+            for block in ("z", "bprime"):
+                included = getattr(report, f"kernel_{block}_included")
+                residual = getattr(report, f"kernel_{block}_residual")
+                assert getattr(report, f"kernel_{block}_equal") is included
+                equal_residual = getattr(report, f"kernel_{block}_equal_residual")
+                assert np.float64(equal_residual).tobytes() == (
+                    np.float64(residual).tobytes()
+                )
+            coposinormal.add(classify(b).coposinormal)
+        assert coposinormal == {True, False}
 
     def test_noncommuting_inapplicable(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -340,18 +354,12 @@ class TestClassifyEquivalence:
         assert conditions.b_prime_posinormal == (bp.size == 0 or classify(bp).posinormal)
         assert conditions.z_coposinormal == (z.size == 0 or classify(z).coposinormal)
 
-    @pytest.mark.parametrize("pair", _COMMUTING + _JORDAN)
-    def test_equal_versions_gated_on_compressed_b(self, pair):
-        dec = decompose_pair(*pair)
-        report = block_kernel_inclusions(dec)
-        b_full = dec.b_compressed()
-        gated = b_full.size == 0 or classify(b_full).coposinormal
-        assert (report.kernel_z_equal is not None) == gated
-        assert (report.kernel_bprime_equal is not None) == gated
-
     def test_jordan_pairs_exercise_both_truth_values(self):
         core, kernel = (posinormal_product_conditions(decompose_pair(*p)) for p in _JORDAN)
         assert (core.b_prime_posinormal, core.z_coposinormal) == (False, True)
         assert (kernel.b_prime_posinormal, kernel.z_coposinormal) == (True, False)
-        for pair in _JORDAN:
-            assert block_kernel_inclusions(decompose_pair(*pair)).kernel_z_equal is None
+        # neither B is coposinormal, and the equality versions are reported
+        equal = [block_kernel_inclusions(decompose_pair(*p)) for p in _JORDAN]
+        assert [(r.kernel_bprime_equal, r.kernel_z_equal) for r in equal] == [
+            (False, True), (True, False)
+        ]

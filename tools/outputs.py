@@ -45,7 +45,8 @@ def _random_pairs():
 def _runs():
     """classify, product and decompose on the catalog's matrices, their ordered
     pairs and the random pairs; every fuzz suite at two seeds, two subspace
-    tolerances and --jobs 1 and 2; truncate for each family."""
+    tolerances and --jobs 1 and 2, and three at a fine rank multiplier;
+    truncate for each family."""
     files = []
     for name in json.loads(_call(["catalog"])[1])["result"]["names"]:
         emitted = _call(["catalog", name, "--emit", "--out", "."])[1]
@@ -60,6 +61,11 @@ def _runs():
     grid = itertools.product(SUITES, ("20260810", "7"), ("1e-8", "1e-15"), "12")
     for suite, seed, tol, jobs in grid:
         yield ["--tol-subspace", tol, "fuzz", suite, "--seed", seed,
+               "--trials", "300", "--dims", "2:8", "--jobs", jobs]
+    # a rank threshold below roundoff fails hartwig_katz checks, as no run above does
+    grid = itertools.product(("block_kernels", "commuting_ep", "hartwig_katz"), "12")
+    for suite, jobs in grid:
+        yield ["--tol-rank-mult", "1e-3", "fuzz", suite, "--seed", "20260810",
                "--trials", "300", "--dims", "2:8", "--jobs", jobs]
     yield from (["truncate", family, "--dims", "2:24"] for family in FAMILIES)
 
