@@ -354,6 +354,25 @@ class TestClassifyEquivalence:
         assert conditions.b_prime_posinormal == (bp.size == 0 or classify(bp).posinormal)
         assert conditions.z_coposinormal == (z.size == 0 or classify(z).coposinormal)
 
+    @pytest.mark.parametrize("pair", _COMMUTING + _JORDAN)
+    def test_equal_versions_gated_on_compressed_b(self, pair):
+        # the only gates are commutation and reducing: whether the compressed
+        # B is coposinormal or not, each equality version is reported and is
+        # its inclusion, flag and residual bit for bit
+        dec = decompose_pair(*pair)
+        report = block_kernel_inclusions(dec)
+        b_full = dec.b_compressed()
+        if any(pair is p for p in _JORDAN):
+            # a Jordan block keeps B from being coposinormal
+            assert not classify(b_full).coposinormal
+        for block in ("z", "bprime"):
+            equal = getattr(report, f"kernel_{block}_equal")
+            assert equal is not None
+            assert equal is getattr(report, f"kernel_{block}_included")
+            assert np.float64(
+                getattr(report, f"kernel_{block}_equal_residual")
+            ).tobytes() == np.float64(getattr(report, f"kernel_{block}_residual")).tobytes()
+
     def test_jordan_pairs_exercise_both_truth_values(self):
         core, kernel = (posinormal_product_conditions(decompose_pair(*p)) for p in _JORDAN)
         assert (core.b_prime_posinormal, core.z_coposinormal) == (False, True)
