@@ -73,7 +73,9 @@ def _rng(seed):
 
 def _complex_gaussian(rng, rows, cols):
     g = rng.standard_normal((2, rows, cols))  # the stream of two draws
-    return (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    z = np.empty((rows, cols), dtype=np.complex128)
+    z.real, z.imag = g  # (g[0] + 1j * g[1]) / sqrt(2), byte for byte
+    return np.divide(z, math.sqrt(2.0), out=z)
 
 
 def random_unitary(n, seed=None):

@@ -82,14 +82,15 @@ def decide_rank(singular_values, shape, cfg, scale):
     return RankDecision(rank=rank, singular_values=s, threshold=tol)
 
 
-def _psd_form(h, cfg):
+def _psd_form(h, cfg, formed):
     """The Hermitian part of square ``h`` and the PSD bound
     ``psd_tol * (1 + ||h||)``; raises InputError when ``h`` is farther than
-    that bound from Hermitian in Frobenius norm."""
-    h = require_square(h, "psd_check input")
+    that bound from Hermitian in Frobenius norm.  An ``h`` eplab ``formed``
+    square, finite and exactly Hermitian, as (d + d*)/2 is, is not checked."""
+    h = h if formed else require_square(h, "psd_check input")
     h_adj = h.conj().T
     bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(h)))
-    defect = float(np.linalg.norm(h - h_adj))
+    defect = 0.0 if formed else float(np.linalg.norm(h - h_adj))
     if not within(defect, bound, "Hermitian defect"):
         raise InputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
@@ -97,7 +98,7 @@ def _psd_form(h, cfg):
     return 0.5 * (h + h_adj), bound
 
 
-def psd_spectrum(h, cfg=DEFAULT_TOLERANCES):
+def psd_spectrum(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
     """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
     flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
 
@@ -107,20 +108,20 @@ def psd_spectrum(h, cfg=DEFAULT_TOLERANCES):
     Hermitian is an input error rather than a silent False.  The empty
     matrix gives ``(True, 0.0)``.
     """
-    herm, bound = _psd_form(h, cfg)
+    herm, bound = _psd_form(h, cfg, _formed)
     if herm.size == 0:
         return True, 0.0
     smallest = float(np.linalg.eigvalsh(herm)[0])
     return within(-smallest, bound, "smallest eigenvalue"), smallest
 
 
-def psd_check(h, cfg=DEFAULT_TOLERANCES):
+def psd_check(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
     """True iff ``h`` is positive semidefinite within tolerance: the flag of
     :func:`psd_spectrum`, with the same bound and the same Hermitian-defect
     error, decided by one Cholesky factorization of the Hermitian part plus
     ``bound * I``, which exists exactly when the smallest eigenvalue is
     above ``-bound``."""
-    herm, bound = _psd_form(h, cfg)
+    herm, bound = _psd_form(h, cfg, _formed)
     herm.flat[:: len(herm) + 1] += bound  # herm + bound * I, in place
     try:
         np.linalg.cholesky(herm)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
-from .subspaces import _factor, _spanned, equality_residual
+from .subspaces import _factor, _sigma1
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +44,9 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     commutator = mn @ mn.conj().T - mn.conj().T @ mn
     # m*m - m m*, by its exact Hermitian part: the roundoff of the two
     # products is not Hermitian, and is no defect of m
-    hyponormal = psd_check(-0.5 * (commutator + commutator.conj().T), cfg)
+    hyponormal = psd_check(-0.5 * (commutator + commutator.conj().T), cfg, _formed=True)
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep, min_eig = psd_spectrum(f.hermitian_commutator, cfg)
-    # EP_r uses the plain transpose, not the adjoint: N(m^T) = conj N(m*)
-    ker_t = _spanned(f.cokernel.basis.conj(), f.range.basis.conj())
+    hypo_ep, min_eig = psd_spectrum(f.hermitian_commutator, cfg, _formed=True)
 
     residuals = {
         "commutator": float(np.linalg.norm(commutator)),
@@ -59,7 +57,8 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         # both sides, computed independently, as both flags are reported
         "ep_equality": max(r_pos, r_copos),
         "projector_commutator": float(np.linalg.norm(f.projector_commutator)),
-        "ep_r_equality": equality_residual(f.kernel, ker_t),
+        # EP_r: N(m^T) = conj N(m*) has complement conj R(m), of adjoint u_r^T
+        "ep_r_equality": _sigma1(f._block("range").T @ f._block("kernel")),
     }
     gate = within_each(residuals, cfg.subspace_tol)
     residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol above

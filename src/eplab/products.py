@@ -17,9 +17,9 @@ from .errors import InapplicableError, InputError
 from .kernel import psd_check, require_square
 from .subspaces import (
     _factor,
+    _inclusion,
     equality_residual,
     factor_pair,
-    inclusion_residual,
     intersect,
     range_basis,  # not called here; bench/tests read products.range_basis
     subspace_sum,
@@ -72,7 +72,7 @@ class JohnsonVinothReport:
 
 def _cond_i(pair):
     """R(AB) ⊆ R(B): Hartwig–Katz's cond_i, the range identity's hypothesis."""
-    return inclusion_residual(pair.fab.range, pair.fb.range)
+    return _inclusion(pair.fab, "range", pair.fb, "range")
 
 
 def _range_identity(pair):
@@ -92,7 +92,7 @@ def _hartwig_katz(pair):
     suite reads alone: cond_i, cond_ii and ab_ep."""
     return {
         "cond_i": pair.fact(_cond_i),
-        "cond_ii": inclusion_residual(pair.fa.kernel, pair.fab.kernel),
+        "cond_ii": _inclusion(pair.fa, "kernel", pair.fab, "kernel"),
         "ab_ep": pair.fab.ep_residual,
     }
 
@@ -149,13 +149,14 @@ def group_invertible_check(a, cfg=DEFAULT_TOLERANCES):
     nilpotent A ≠ 0 is not rank stable."""
     fa = _factor(require_square(a), cfg)
     fa2 = _factor(fa.unit @ fa.unit, cfg, 1.0)
+    stable = fa2.rank == fa.rank  # else unequal, as in equality_residual
     residuals = {
-        "kernel_stable": equality_residual(fa2.kernel, fa.kernel),
-        "range_stable": equality_residual(fa2.range, fa.range),
+        "kernel_stable": _inclusion(fa2, "kernel", fa, "kernel") if stable else 1.0,
+        "range_stable": _inclusion(fa2, "range", fa, "range") if stable else 1.0,
     }
     return GroupInvertibleReport(
         **within_each(residuals, cfg.subspace_tol),
-        rank_stable=fa2.rank == fa.rank,
+        rank_stable=stable,
         residuals={
             **residuals, "rank": float(fa.rank), "rank_squared": float(fa2.rank)
         },
@@ -175,12 +176,12 @@ def _johnson_vinoth(pair):
     """Johnson-Vinoth facts for the pair."""
     fa, fb = pair.fa, pair.fb
     residuals = {
-        "hyp_range": inclusion_residual(fb.range, fa.range),
-        "hyp_kernel": inclusion_residual(fb.kernel, fa.kernel),
+        "hyp_range": _inclusion(fb, "range", fa, "range"),
+        "hyp_kernel": _inclusion(fb, "kernel", fa, "kernel"),
     }
     return JohnsonVinothReport(
         **within_each(residuals, pair.cfg.subspace_tol),
-        ab_hypo_ep=psd_check(pair.fab.hermitian_commutator, pair.cfg),
+        ab_hypo_ep=psd_check(pair.fab.hermitian_commutator, pair.cfg, _formed=True),
         residuals=residuals,
     )
 

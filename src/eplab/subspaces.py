@@ -14,6 +14,8 @@ differ.  Equality reads one cross matrix: between spaces of equal
 dimension the sines are symmetric, and spaces of unequal dimension are
 unequal with no SVD.  Intersection and sum take the principal vectors
 whose sines are within ``subspace_tol`` and carry their complement.
+:class:`Subspace` views serve callers and the lattice operations; eplab's
+decisions read cross matrices from factor blocks (:meth:`Factorization._block`).
 """
 
 import math
@@ -112,7 +114,8 @@ class Factorization:
 
     The first ``rank`` columns of ``u`` span the range R(m), the rest the
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
-    R(m*), the rest the kernel N(m).  Each view is built on first use and
+    R(m*), the rest the kernel N(m).  Decisions read these blocks
+    (:meth:`_block`); each view, for callers, is built on first use and
     carries the other columns as its complement.  Two cross matrices decide
     the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n, and so is
     R(m) = R(m*), both spaces having dimension rank m: EP reads the
@@ -129,33 +132,32 @@ class Factorization:
     def rank(self):
         return self.decision.rank
 
-    @_lazy
-    def range(self):
-        return _spanned(self.u[:, : self.rank], self.u[:, self.rank :])
+    _v = _lazy(lambda self: self.vh.conj().T)  # V, formed once
 
-    @_lazy
-    def cokernel(self):
-        return _spanned(self.u[:, self.rank :], self.u[:, : self.rank])
+    def _block(self, space, complement=False):
+        """The orthonormal basis of ``space`` ("range", "cokernel", "corange"
+        or "kernel"), columns of u or V = vh*; with ``complement``, the
+        adjoint of its orthogonal complement's, rows of u* or vh."""
+        first = (space in ("range", "corange")) != complement
+        part = slice(None, self.rank) if first else slice(self.rank, None)
+        if space in ("range", "cokernel"):
+            return self.u[:, part].conj().T if complement else self.u[:, part]
+        return self.vh[part] if complement else self._v[:, part]
 
-    @_lazy
-    def corange(self):
-        v = self.vh.conj().T
-        return _spanned(v[:, : self.rank], v[:, self.rank :])
-
-    @_lazy
-    def kernel(self):
-        v = self.vh.conj().T
-        return _spanned(v[:, self.rank :], v[:, : self.rank])
+    range = _lazy(lambda f: _spanned(f._block("range"), f._block("cokernel")))
+    cokernel = _lazy(lambda f: _spanned(f._block("cokernel"), f._block("range")))
+    corange = _lazy(lambda f: _spanned(f._block("corange"), f._block("kernel")))
+    kernel = _lazy(lambda f: _spanned(f._block("kernel"), f._block("corange")))
 
     @_lazy
     def posinormal_residual(self):
         """Residual of R(m) inside R(m*), computed once."""
-        return inclusion_residual(self.range, self.corange)
+        return _inclusion(self, "range", self, "corange")
 
     @_lazy
     def coposinormal_residual(self):
         """Residual of R(m*) inside R(m), computed once."""
-        return inclusion_residual(self.corange, self.range)
+        return _inclusion(self, "corange", self, "range")
 
     @_lazy
     def ep_residual(self):
@@ -183,8 +185,8 @@ class Factorization:
 
     @_lazy
     def pinv(self):
-        r = self.rank
-        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+        inverse = self._block("corange") / self.s[: self.rank]
+        return inverse @ self._block("range").conj().T
 
 
 def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
@@ -359,15 +361,24 @@ def _check_same_ambient(s1, s2):
         )
 
 
+def _sigma1(cross):
+    """σ₁ of a cross matrix, 0.0 when it is empty: of complement* Q, the
+    largest principal-angle sine of R(Q) against complement⊥
+    (Knyazev-Argentati); of Q1* Q2, the cosine of the minimal angle."""
+    return float(np.linalg.svd(cross, compute_uv=False)[0]) if cross.size else 0.0
+
+
+def _inclusion(f1, space1, f2, space2):
+    """:func:`inclusion_residual` of ``f1``'s ``space1`` in ``f2``'s
+    ``space2``, read from the factors' blocks with no view."""
+    return _sigma1(f2._block(space2, complement=True) @ f1._block(space1))
+
+
 def inclusion_residual(s1, s2):
-    """sin of the largest principal angle of s1 against s2: the largest
-    singular value of s2's complement* Q1 (Knyazev-Argentati); 0 when
-    s1 = {0} or s2 is the whole space."""
+    """sin of the largest principal angle of s1 against s2: :func:`_sigma1` of
+    s2's complement* Q1, 0 when s1 = {0} or s2 is the whole space."""
     _check_same_ambient(s1, s2)
-    if s1.dim == 0 or s2.dim == s2.ambient_dim:
-        return 0.0
-    cross = s2.complement.conj().T @ s1.basis
-    return float(np.linalg.svd(cross, compute_uv=False)[0])
+    return _sigma1(s2.complement.conj().T @ s1.basis)
 
 
 def includes(s1, s2, cfg=DEFAULT_TOLERANCES):
@@ -430,8 +441,7 @@ def minimal_angle(s1, s2):
     _check_same_ambient(s1, s2)
     if s1.dim == 0 or s2.dim == 0:
         raise TrivialSubspaceError("minimal angle requires two nontrivial subspaces")
-    sigma = np.linalg.svd(s1.basis.conj().T @ s2.basis, compute_uv=False)
-    cos = float(min(1.0, max(0.0, sigma[0])))
+    cos = min(1.0, max(0.0, _sigma1(s1.basis.conj().T @ s2.basis)))
     return AngleReport(cos_min_angle=cos, angle_radians=math.acos(cos))
 
 

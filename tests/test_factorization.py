@@ -19,6 +19,7 @@ from eplab import (
     factor,
     group_invertible_check,
     hartwig_katz,
+    is_ep,
     johnson_vinoth_check,
     pinv,
     posinormal_product_conditions,
@@ -350,6 +351,63 @@ def test_one_cross_matrix_decides_an_equal_dimension_equality():
     assert draws >= 600
 
 
+def _block_and_view_residuals(a, b):
+    """(name, block route, view route) of each residual eplab reads from
+    factor blocks, for the pair (a, b): the posinormal family of A, B, AB
+    and A's unit square, EP_r of A, the pair facts and the squaring check's
+    equalities, each also through :func:`inclusion_residual` or
+    :func:`equality_residual` on the public views."""
+    pair = subspaces.factor_pair(a, b)
+    fa, fb, fab = pair.fa, pair.fb, pair.fab
+    fa2 = factor(fa.unit @ fa.unit, pair.cfg, 1.0)
+    for tag, f in (("a", fa), ("b", fb), ("ab", fab), ("a2", fa2)):
+        yield tag + " posinormal", f.posinormal_residual, inclusion_residual(
+            f.range, f.corange
+        )
+        yield tag + " coposinormal", f.coposinormal_residual, inclusion_residual(
+            f.corange, f.range
+        )
+        yield tag + " ep", f.ep_residual, equality_residual(f.range, f.corange)
+    ker_t = subspaces._spanned(fa.cokernel.basis.conj(), fa.range.basis.conj())
+    yield "ep_r", classify(a).residuals["ep_r_equality"], equality_residual(
+        fa.kernel, ker_t
+    )
+    theorem = hartwig_katz(a, b).residuals
+    yield "cond_i", theorem["cond_i"], inclusion_residual(fab.range, fb.range)
+    yield "cond_ii", theorem["cond_ii"], inclusion_residual(fa.kernel, fab.kernel)
+    jv = johnson_vinoth_check(a, b).residuals
+    yield "hyp_range", jv["hyp_range"], inclusion_residual(fb.range, fa.range)
+    yield "hyp_kernel", jv["hyp_kernel"], inclusion_residual(fb.kernel, fa.kernel)
+    squaring = group_invertible_check(a).residuals
+    yield "kernel_stable", squaring["kernel_stable"], equality_residual(
+        fa2.kernel, fa.kernel
+    )
+    yield "range_stable", squaring["range_stable"], equality_residual(
+        fa2.range, fa.range
+    )
+
+
+# every residual built from factor blocks is the view route's, bit for bit,
+# on rank-r Gaussian products against EP operands at every rank 0..n, where
+# a space {0} or C^n makes the cross matrix empty, and on one pair at n = 48
+def test_block_residuals_are_the_view_residuals(forget_pair):
+    rng = np.random.default_rng(20261019)
+    draws = [(n, r) for n in range(1, 9) for r in range(n + 1)] + [(48, 20)]
+    empty = nonzero = 0
+    for n, r in draws:
+        a = _complex_gaussian(rng, n, r) @ _complex_gaussian(rng, r, n)
+        b = random_ep(n, int(rng.integers(0, n + 1)), rng)
+        for name, block, view in _block_and_view_residuals(a, b):
+            assert np.float64(block).tobytes() == np.float64(view).tobytes(), name
+            nonzero += block > 1e-3
+        fa = subspaces.factor_pair(a, b).fa
+        empty += fa.rank in (0, n)
+        k = fa.rank
+        want = (fa.vh[:k].conj().T / fa.s[:k]) @ fa.u[:, :k].conj().T
+        assert np.array_equal(fa.pinv, want)
+    assert empty == 16 and nonzero > 200
+
+
 def test_unequal_dimensions_are_unequal_without_an_svd(svd_calls):
     f = factor(_mixed(5, n=6, r=2))
     spaces = [f.range, f.kernel, Subspace(6, np.eye(6)[:, :3]), Subspace.trivial(6)]
@@ -575,27 +633,42 @@ def as_matrix_calls(monkeypatch):
     return calls
 
 
-def test_each_caller_given_matrix_is_validated_once(as_matrix_calls, monkeypatch):
+def test_each_caller_given_matrix_is_validated_once(as_matrix_calls):
     # the caller's matrices are checked where they enter; the matrices eplab
     # forms from them (cross matrices, blocks, unit products, powers) are not
     m, a, b = (_mixed(seed, n=6, r=4) for seed in (5, 6, 7))
     c, d = random_commuting_ep_pair(6, 4, 3)
+    # classify's two commutators and Johnson-Vinoth's one are exactly
+    # Hermitian as formed, so their PSD tests check neither (lowered from 2)
     cases = [
-        # classify also hands its two commutators to the public PSD tests,
-        # which check their input
-        (lambda: classify(m), [m], 2),
-        (lambda: hartwig_katz(a, b), [a, b], 0),
-        (lambda: power_ep(a, 5), [a], 0),
-        (lambda: block_kernel_inclusions(decompose_pair(c, d)), [c, d], 0),
+        (lambda: classify(m), [m]),
+        (lambda: hartwig_katz(a, b), [a, b]),
+        (lambda: johnson_vinoth_check(a, b), [a, b]),
+        (lambda: power_ep(a, 5), [a]),
+        (lambda: block_kernel_inclusions(decompose_pair(c, d)), [c, d]),
     ]
-    for call, given, psd_inputs in cases:
+    for call, given in cases:
         as_matrix_calls.clear()
         call()
-        assert [id(x) for x in as_matrix_calls[: len(given)]] == [id(x) for x in given]
-        assert len(as_matrix_calls) == len(given) + psd_inputs
+        assert [id(x) for x in as_matrix_calls] == [id(x) for x in given]
 
-    # each view enters __post_init__ exactly once, unchecked: the bench's
-    # subspaces.constructions_per_op counts these calls
+
+def test_each_view_enters_post_init_once_unchecked(as_matrix_calls, post_inits):
+    # the bench's subspaces.constructions_per_op counts these calls
+    m = _mixed(5, n=6, r=4)
+    as_matrix_calls.clear()
+    f = factor(m)
+    names = ("range", "kernel", "corange", "cokernel")
+    views = [getattr(f, name) for name in names]
+    for name, view in zip(names, views):
+        assert getattr(f, name) is view and view.complement is vars(view)["complement"]
+    assert len(post_inits) == 4 and all(x is y for x, y in zip(post_inits, views))
+    assert [id(x) for x in as_matrix_calls] == [id(m)]
+
+
+@pytest.fixture
+def post_inits(monkeypatch):
+    """Every :class:`Subspace` entering ``__post_init__`` from now on."""
     built, post_init = [], Subspace.__post_init__
 
     def recording(self):
@@ -603,14 +676,37 @@ def test_each_caller_given_matrix_is_validated_once(as_matrix_calls, monkeypatch
         post_init(self)
 
     monkeypatch.setattr(Subspace, "__post_init__", recording)
-    as_matrix_calls.clear()
-    f = factor(m)
-    names = ("range", "kernel", "corange", "cokernel")
-    views = [getattr(f, name) for name in names]
-    for name, view in zip(names, views):
-        assert getattr(f, name) is view and view.complement is vars(view)["complement"]
-    assert len(built) == 4 and all(x is y for x, y in zip(built, views))
-    assert [id(x) for x in as_matrix_calls] == [id(m)]
+    return built
+
+
+# Subspace constructions of one cold call, on the pair of SVD_COUNTS; an
+# edit may only lower a count.  Decisions read the factors' blocks with no
+# view (each of these was 5, 2, 10, 12 and 4 through views); views are
+# built for callers and lattice operations: hartwig_katz's are those of
+# Djordjevic's identities, an intersection and a sum and the spaces they
+# are compared with.
+VIEW_COUNTS = {
+    "classify": 0,
+    "is_ep": 0,
+    "power_ep": 0,
+    "hartwig_katz": 9,
+    "johnson_vinoth_check": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_COUNTS))
+def test_view_count(name, post_inits, forget_pair):
+    a, b = random_commuting_ep_pair(6, 4, 2)
+    calls = {
+        "classify": lambda: classify(a @ b),
+        "is_ep": lambda: is_ep(a @ b),
+        "power_ep": lambda: power_ep(a, 5),
+        "hartwig_katz": lambda: hartwig_katz(a, b),
+        "johnson_vinoth_check": lambda: johnson_vinoth_check(a, b),
+    }
+    post_inits.clear()
+    calls[name]()
+    assert len(post_inits) == VIEW_COUNTS[name]
 
 
 PAIR_PROCEDURES = {

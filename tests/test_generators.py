@@ -85,6 +85,17 @@ class TestDrawsAreReplayed:
             d[d == 0] = 1.0
             assert np.array_equal(random_unitary(n, seed), q * (d / np.abs(d)))
 
+    def test_gaussians_are_the_one_call_formula_byte_for_byte(self):
+        # filled in place, as (g[0] + 1j * g[1]) / sqrt(2) of the same draws
+        for seed in range(200):
+            for rows, cols in ((3, 3), (0, 4), (4, 0), (0, 0), (8, 3)):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = generators._complex_gaussian(rng, rows, cols)
+                g = ref_rng.standard_normal((2, rows, cols))
+                want = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cap", [5.0, 1e2])
     def test_condition_capped_cores(self, cap, monkeypatch):
         tries, gaussian = [], generators._complex_gaussian

@@ -8,7 +8,8 @@ from eplab import (
     DEFAULT_TOLERANCES, InputError, ToleranceConfig, factor, numerical_rank, pinv,
     psd_check, random_unitary,
 )
-from eplab.kernel import as_matrix, psd_spectrum, rank_threshold
+from eplab.fuzz import _mixed_square
+from eplab.kernel import _psd_form, as_matrix, psd_spectrum, rank_threshold
 
 I2 = np.eye(2, dtype=complex)
 DIAG10 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -190,6 +191,23 @@ class TestAsMatrix:
     def test_empty_shapes_allowed(self):
         assert as_matrix(np.zeros((0, 4))).shape == (0, 4)
         assert numerical_rank(np.zeros((0, 4))).threshold == 0.0
+
+
+def test_formed_psd_forms_are_the_checked_ones_byte_for_byte():
+    # classify's and Johnson-Vinoth's commutators skip the input checks: they
+    # are square, finite and exactly Hermitian, so the checks cannot fail
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(0, 9))
+        f = factor(_mixed_square(rng, n))
+        c = f.unit @ f.unit.conj().T - f.unit.conj().T @ f.unit
+        for h in (f.hermitian_commutator, -0.5 * (c + c.conj().T)):
+            (herm, bound), (formed, formed_bound) = (
+                _psd_form(h, DEFAULT_TOLERANCES, skip) for skip in (False, True)
+            )
+            assert herm.tobytes() == formed.tobytes() and bound == formed_bound
+            assert psd_spectrum(h) == psd_spectrum(h, _formed=True)
+            assert psd_check(h) is psd_check(h, _formed=True)
 
 
 def test_only_subspaces_calls_the_svd():

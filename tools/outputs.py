@@ -5,11 +5,13 @@
 
 A recording is one JSON line per run of :func:`_runs`.  Its input files go
 to OUT.inputs, named relative to it, so paths echo alike from any checkout.
-Comparing prints each changed float field with its count, runs and largest
-|change|, then every other change (flags, counts, exit codes, text).
+Comparing matches the two runs of each key leaf by leaf, by key path (list
+items by index), and prints each changed float field with its count, runs
+and largest |change|, then every other changed leaf (flags, counts, exit
+codes, text), and leaves present in one run only.
 """
 
-import argparse, contextlib, io, itertools, json, math, os, sys  # noqa: E401
+import argparse, contextlib, io, itertools, json, math, os, re, sys  # noqa: E401
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +82,24 @@ def _call(argv):
 
 
 def _leaves(x, path=""):
+    """(key path, value) of each leaf of ``x``, list items by index."""
     if isinstance(x, dict):
         for key in x:
             yield from _leaves(x[key], f"{path}.{key}")
     elif isinstance(x, list):
         yield f"{path}.len", len(x)
-        for item in x:
-            yield from _leaves(item, f"{path}[]")
+        for i, item in enumerate(x):
+            yield from _leaves(item, f"{path}[{i}]")
     else:
         yield path, x
+
+
+class _Absent:
+    def __repr__(self):
+        return "<absent>"
+
+
+_ABSENT = _Absent()  # the value of a leaf one of two runs lacks
 
 
 def compare(path_a, path_b):
@@ -97,14 +108,17 @@ def compare(path_a, path_b):
     print(f"runs: {len(a)} / {len(b)}, in one only: {sorted(a.keys() ^ b.keys())}")
     floats, other = {}, []
     for key in sorted(a.keys() & b.keys()):
-        for (field, x), (field_b, y) in zip(_leaves(a[key]), _leaves(b[key])):
-            is_float = type(x) is float and type(y) is float and field == field_b
-            if is_float and not (x == y or math.isnan(x) and math.isnan(y)):
-                count, worst, runs = floats.get(field, (0, 0.0, set()))
-                floats[field] = (count + 1, max(worst, abs(x - y)), runs | {key})
-            elif not is_float and (field, x) != (field_b, y):
-                other.append(f"{key}: {field}={x!r} vs {field_b}={y!r}")
-                break  # the rest of this run no longer lines up
+        leaves_a, leaves_b = dict(_leaves(a[key])), dict(_leaves(b[key]))
+        paths = list(leaves_a) + [p for p in leaves_b if p not in leaves_a]
+        for path in paths:
+            x, y = leaves_a.get(path, _ABSENT), leaves_b.get(path, _ABSENT)
+            if type(x) is float and type(y) is float:
+                if not (x == y or math.isnan(x) and math.isnan(y)):
+                    field = re.sub(r"\[\d+\]", "[]", path)
+                    count, worst, runs = floats.get(field, (0, 0.0, set()))
+                    floats[field] = (count + 1, max(worst, abs(x - y)), runs | {key})
+            elif type(x) is not type(y) or x != y:
+                other.append(f"{key}: {path}={x!r} vs {y!r}")
     for field, (count, worst, runs) in sorted(floats.items()):
         print(f"float {field}: {count} in {len(runs)} runs, max |d| {worst:.3g}")
         print(*(f"    {run}" for run in sorted(runs)[:4]), sep="\n")
