@@ -83,30 +83,34 @@ def decide_rank(singular_values, shape, cfg, scale):
 
 
 def _psd_form(h, cfg, formed):
-    """The Hermitian part of square ``h`` and the PSD bound
-    ``psd_tol * (1 + ||h||)``; raises InputError when ``h`` is farther than
-    that bound from Hermitian in Frobenius norm.  An ``h`` eplab ``formed``
-    square, finite and exactly Hermitian, as (d + d*)/2 is, is not checked."""
+    """The Hermitian part herm = (h + h*)/2 of square ``h``, formed here only,
+    and the PSD bound ``psd_tol * (1 + ||herm||)`` read from it; raises
+    InputError when ``h`` is farther than that bound from Hermitian in
+    Frobenius norm.  A commutator eplab ``formed`` is square, finite and
+    Hermitian up to its products' roundoff, which herm absorbs: unchecked."""
     h = h if formed else require_square(h, "psd_check input")
     h_adj = h.conj().T
-    bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(h)))
+    herm = 0.5 * (h + h_adj)
+    bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(herm)))
     defect = 0.0 if formed else float(np.linalg.norm(h - h_adj))
     if not within(defect, bound, "Hermitian defect"):
         raise InputError(
             f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
         )
-    return 0.5 * (h + h_adj), bound
+    return herm, bound
 
 
 def psd_spectrum(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
-    """``(flag, smallest eigenvalue)`` of the Hermitian part of ``h``, where
-    flag is True iff that eigenvalue is at least ``-psd_tol * (1 + ||h||)``.
+    """``(flag, smallest eigenvalue)`` of the Hermitian part herm = (h + h*)/2
+    of ``h``, where flag is True iff that eigenvalue is at least
+    ``-psd_tol * (1 + ||herm||)``.
 
     One eigvalsh, for a report that shows the eigenvalue; a flag alone is
-    :func:`psd_check`.  ``h`` must be Hermitian to within
-    ``psd_tol * (1 + ||h||)`` in Frobenius norm; anything farther from
-    Hermitian is an input error rather than a silent False.  The empty
-    matrix gives ``(True, 0.0)``.
+    :func:`psd_check`.  ``h`` must be Hermitian to within that bound in
+    Frobenius norm; anything farther from Hermitian is an input error
+    rather than a silent False.  For such an ``h``, ||herm|| is below
+    ||h|| by at most ||h - h*||^2 / (8 ||herm||).  The empty matrix gives
+    ``(True, 0.0)``.
     """
     herm, bound = _psd_form(h, cfg, _formed)
     if herm.size == 0:
@@ -117,10 +121,10 @@ def psd_spectrum(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
 
 def psd_check(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
     """True iff ``h`` is positive semidefinite within tolerance: the flag of
-    :func:`psd_spectrum`, with the same bound and the same Hermitian-defect
-    error, decided by one Cholesky factorization of the Hermitian part plus
-    ``bound * I``, which exists exactly when the smallest eigenvalue is
-    above ``-bound``."""
+    :func:`psd_spectrum`, with the same Hermitian part, bound and
+    Hermitian-defect error, decided by one Cholesky factorization of the
+    Hermitian part plus ``bound * I``, which exists exactly when the
+    smallest eigenvalue is above ``-bound``."""
     herm, bound = _psd_form(h, cfg, _formed)
     herm.flat[:: len(herm) + 1] += bound  # herm + bound * I, in place
     try:

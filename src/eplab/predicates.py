@@ -40,13 +40,11 @@ FLAG_NAMES = tuple(f.name for f in fields(ClassificationReport) if f.type is boo
 def classify(m, cfg=DEFAULT_TOLERANCES):
     """Full predicate battery for one square matrix."""
     f = _factor(require_square(m), cfg)
-    mn = f.unit
-    commutator = mn @ mn.conj().T - mn.conj().T @ mn
-    # m*m - m m*, by its exact Hermitian part: the roundoff of the two
-    # products is not Hermitian, and is no defect of m
-    hyponormal = psd_check(-0.5 * (commutator + commutator.conj().T), cfg, _formed=True)
+    mn, mh = f.unit, f.unit.conj().T
+    commutator = mn @ mh - mh @ mn
+    hyponormal = psd_check(-commutator, cfg, _formed=True)  # m*m - m m* >= 0
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep, min_eig = psd_spectrum(f.hermitian_commutator, cfg, _formed=True)
+    hypo_ep, min_eig = psd_spectrum(f.projector_commutator, cfg, _formed=True)
 
     residuals = {
         "commutator": float(np.linalg.norm(commutator)),

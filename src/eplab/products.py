@@ -181,7 +181,7 @@ def _johnson_vinoth(pair):
     }
     return JohnsonVinothReport(
         **within_each(residuals, pair.cfg.subspace_tol),
-        ab_hypo_ep=psd_check(pair.fab.hermitian_commutator, pair.cfg, _formed=True),
+        ab_hypo_ep=psd_check(pair.fab.projector_commutator, pair.cfg, _formed=True),
         residuals=residuals,
     )
 

@@ -101,7 +101,7 @@ class PosinormalProductConditions:
 def _decompose(pair):
     f = pair.fa
     a, b = f.unit, pair.fb.unit
-    r, basis_u = f.rank, f.vh.conj().T
+    r, basis_u = f.rank, f._v
     ua, ub = f.vh @ a @ basis_u, f.vh @ b @ basis_u
     for m in (basis_u, ua, ub):  # the blocks are slices, shared by every copy
         m.setflags(write=False)

@@ -167,15 +167,9 @@ class Factorization:
 
     @_lazy
     def projector_commutator(self):
-        """``pinv @ m - m @ pinv``: zero exactly when m is EP."""
+        """``pinv @ m - m @ pinv``: zero exactly when m is EP and, Hermitian up
+        to roundoff, PSD exactly when m is hypo-EP."""
         return self.pinv @ self.m - self.m @ self.pinv
-
-    @property
-    def hermitian_commutator(self):
-        """Hermitian part of the projector commutator, PSD iff m is hypo-EP;
-        it absorbs matmul roundoff the PSD tests would reject as non-Hermitian."""
-        d = self.projector_commutator
-        return 0.5 * (d + d.conj().T)
 
     @_lazy
     def unit(self):

@@ -755,6 +755,13 @@ class TestPairMemo:
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0
 
+    def test_the_decomposition_basis_is_the_factorization_v(self):
+        # V = vh* is formed once, in Factorization._v, and stays read-only
+        dec = decompose_pair(*_MEMO_PAIRS[0])
+        assert dec.basis_u is subspaces.factor_pair(*_MEMO_PAIRS[0]).fa._v
+        with pytest.raises(ValueError):
+            dec.basis_u[0, 0] = 0.0
+
     @pytest.mark.parametrize("name", sorted(PAIR_PROCEDURES))
     def test_a_caller_owns_the_residuals_it_is_given(self, name):
         procedure, pair = PAIR_PROCEDURES[name], _MEMO_PAIRS[0]

@@ -195,19 +195,29 @@ class TestAsMatrix:
 
 def test_formed_psd_forms_are_the_checked_ones_byte_for_byte():
     # classify's and Johnson-Vinoth's commutators skip the input checks: they
-    # are square, finite and exactly Hermitian, so the checks cannot fail
+    # are square, finite and Hermitian up to roundoff, so the checks cannot
+    # fail.  Their Hermitian parts, with the bounds and decisions read from
+    # them, are the symmetrized matrices eplab passed before _psd_form formed
+    # them; -c's differs only in the sign of a zero (-(x - x) is -0.0, but
+    # -x + x is +0.0), which adding +0.0 clears
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(0, 9))
         f = factor(_mixed_square(rng, n))
         c = f.unit @ f.unit.conj().T - f.unit.conj().T @ f.unit
-        for h in (f.hermitian_commutator, -0.5 * (c + c.conj().T)):
+        d = f.projector_commutator
+        for h, old in ((d, 0.5 * (d + d.conj().T)), (-c, -0.5 * (c + c.conj().T))):
             (herm, bound), (formed, formed_bound) = (
                 _psd_form(h, DEFAULT_TOLERANCES, skip) for skip in (False, True)
             )
             assert herm.tobytes() == formed.tobytes() and bound == formed_bound
+            assert (formed + 0.0).tobytes() == (old + 0.0).tobytes()
+            assert formed.tobytes() == old.tobytes() or h is not d
+            assert bound == DEFAULT_TOLERANCES.psd_tol * (1.0 + np.linalg.norm(old))
             assert psd_spectrum(h) == psd_spectrum(h, _formed=True)
+            assert psd_spectrum(h, _formed=True) == psd_spectrum(old, _formed=True)
             assert psd_check(h) is psd_check(h, _formed=True)
+            assert psd_check(h, _formed=True) is psd_check(old, _formed=True)
 
 
 def test_only_subspaces_calls_the_svd():

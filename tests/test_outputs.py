@@ -31,3 +31,23 @@ def test_compare_reports_every_changed_leaf_by_key_path(tmp_path, capsys):
                    ".stdout.added=<absent> vs 2"):
         assert f"    fuzz x: {change}" in out
     assert outputs.compare(tmp_path / "a.jsonl", tmp_path / "a.jsonl") == 0
+
+
+_DIGEST = Path(__file__).resolve().parent / "outputs_digest.json"
+
+
+def test_the_outputs_match_the_committed_digest(tmp_path, monkeypatch, capsys):
+    # every classify, product, decompose and truncate run and each fuzz suite
+    # at a few trials, replayed here: flags, counts and text exactly, floats
+    # within outputs.DIGEST_TOL; a change that moves an output rewrites it
+    monkeypatch.chdir(tmp_path)
+    code = outputs.check_digest(_DIGEST)
+    assert code == 0, capsys.readouterr().out
+
+
+def test_the_digest_fuzz_runs_do_not_depend_on_jobs():
+    runs = {key: (paths, leaves) for key, paths, leaves in json.loads(_DIGEST.read_text())}
+    parallel = [key for key in runs if key.endswith("--jobs 2")]
+    assert len(parallel) == 2 * len(outputs.SUITES) + 3
+    for key in parallel:
+        assert runs[key] == runs[key.replace("--jobs 2", "--jobs 1")]

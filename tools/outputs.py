@@ -2,6 +2,7 @@
 
     python tools/outputs.py [--src DIR] OUT.jsonl   # eplab from DIR, default ./src
     python tools/outputs.py --compare A.jsonl B.jsonl
+    python tools/outputs.py [--src DIR] --digest tests/outputs_digest.json
 
 A recording is one JSON line per run of :func:`_runs`.  Its input files go
 to OUT.inputs, named relative to it, so paths echo alike from any checkout.
@@ -9,9 +10,18 @@ Comparing matches the two runs of each key leaf by leaf, by key path (list
 items by index), and prints each changed float field with its count, runs
 and largest |change|, then every other changed leaf (flags, counts, exit
 codes, text), and leaves present in one run only.
+
+A digest holds the runs of ``_runs(**DIGEST_RUNS)`` (every classify,
+product, decompose and truncate run, and the fuzz runs at one seed and
+fewer trials), each as its leaf values in order and a hash of its key
+paths.  Checking replays those runs in process and compares them with the
+digest as comparing does, except that a float moved by more than
+``DIGEST_TOL`` fails too; tests/test_outputs.py does so in tier-1.  A
+change that moves an output writes the digest again.
 """
 
-import argparse, contextlib, io, itertools, json, math, os, re, sys  # noqa: E401
+import argparse, contextlib, hashlib, io, itertools, json, math, os, re, sys  # noqa: E401
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +29,8 @@ import numpy as np
 SUITES = ("block_kernels collapse commuting_ep commuting_posinormal group_invertible "
           "hartwig_katz invariant_range johnson_vinoth powers same_kernel").split()
 FAMILIES = ("tilted_projections", "shift_block", "weighted_shift")
+DIGEST_RUNS = {"seeds": ("20260810",), "trials": "12"}
+DIGEST_TOL = (1e-12, 1e-9)  # |change| <= 1e-12 + 1e-9 |digest's float|
 
 
 def _write(name, m):
@@ -44,9 +56,9 @@ def _random_pairs():
         yield f"ep_gaussian{n}_{seed}", u @ c @ u.conj().T, g(n, n)
 
 
-def _runs():
+def _runs(seeds=("20260810", "7"), trials="300"):
     """classify, product and decompose on the catalog's matrices, their ordered
-    pairs and the random pairs; every fuzz suite at two seeds, two subspace
+    pairs and the random pairs; every fuzz suite at each seed, two subspace
     tolerances and --jobs 1 and 2, and three at a fine rank multiplier;
     truncate for each family."""
     files = []
@@ -60,15 +72,15 @@ def _runs():
     yield from (["classify", f] for f in files)
     for command in ("product", "decompose"):
         yield from ([command, a, b] for a, b in pairs)
-    grid = itertools.product(SUITES, ("20260810", "7"), ("1e-8", "1e-15"), "12")
+    grid = itertools.product(SUITES, seeds, ("1e-8", "1e-15"), "12")
     for suite, seed, tol, jobs in grid:
         yield ["--tol-subspace", tol, "fuzz", suite, "--seed", seed,
-               "--trials", "300", "--dims", "2:8", "--jobs", jobs]
+               "--trials", trials, "--dims", "2:8", "--jobs", jobs]
     # a rank threshold below roundoff fails hartwig_katz checks, as no run above does
     grid = itertools.product(("block_kernels", "commuting_ep", "hartwig_katz"), "12")
     for suite, jobs in grid:
-        yield ["--tol-rank-mult", "1e-3", "fuzz", suite, "--seed", "20260810",
-               "--trials", "300", "--dims", "2:8", "--jobs", jobs]
+        yield ["--tol-rank-mult", "1e-3", "fuzz", suite, "--seed", seeds[0],
+               "--trials", trials, "--dims", "2:8", "--jobs", jobs]
     yield from (["truncate", family, "--dims", "2:24"] for family in FAMILIES)
 
 
@@ -79,6 +91,13 @@ def _call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _record(argv):
+    code, out, err = _call(argv)
+    record = {"key": " ".join(argv), "exit": code, "stderr": err}
+    record["stdout"] = json.loads(out) if out else None
+    return record
 
 
 def _leaves(x, path=""):
@@ -102,13 +121,64 @@ class _Absent:
 _ABSENT = _Absent()  # the value of a leaf one of two runs lacks
 
 
+def _paths_hash(leaves):
+    return hashlib.sha256("\n".join(leaves).encode()).hexdigest()[:12]
+
+
 def compare(path_a, path_b):
-    a, b = ({r["key"]: r for r in map(json.loads, Path(p).read_text().splitlines())}
+    a, b = ({r["key"]: dict(_leaves(r)) for r in map(json.loads, Path(p).read_text().splitlines())}
             for p in (path_a, path_b))
+    return _report(a, b)
+
+
+def _leaves_of_run(argv):
+    """The leaves of ``argv``'s run, all but its key."""
+    record = _record(argv)
+    del record["key"]
+    return dict(_leaves(record))
+
+
+def write_digest(path):
+    """Write the digest of ``_runs(**DIGEST_RUNS)``, made in the working
+    directory, to ``path``: a JSON list of [key, key paths' hash, leaf
+    values], one run a line."""
+    runs = []
+    for argv in _runs(**DIGEST_RUNS):
+        leaves = _leaves_of_run(argv)
+        runs.append([" ".join(argv), _paths_hash(leaves), list(leaves.values())])
+    lines = (json.dumps(run, separators=(",", ":")) for run in runs)
+    Path(path).write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+def check_digest(path):
+    """Replay the runs of the digest at ``path`` in the working directory and
+    report them against it; 1 on a changed non-float leaf or set of runs, or
+    a float moved beyond ``DIGEST_TOL``.  A run whose key paths changed is
+    reported as a changed ``.paths`` hash."""
+    digest = {key: (paths, values) for key, paths, values in json.loads(Path(path).read_text())}
+    a, b = {}, {}
+    for argv in _runs(**DIGEST_RUNS):
+        key = " ".join(argv)
+        b[key] = _leaves_of_run(argv)
+        if key in digest:
+            paths, values = digest.pop(key)
+            if paths == _paths_hash(b[key]):
+                a[key] = dict(zip(b[key], values))
+            else:
+                a[key], b[key] = {".paths": paths}, {".paths": _paths_hash(b[key])}
+    a.update(dict.fromkeys(digest, {}))  # runs only the digest holds
+    return _report(a, b, DIGEST_TOL)
+
+
+def _report(a, b, tol=None):
+    """Print the changes from runs ``a`` to runs ``b``, each a dict of key to
+    {key path: leaf}.  1 when the keys or a non-float leaf differ, or, with
+    ``tol`` = (absolute, relative), when a float moved by more than
+    absolute + relative * |a's float|."""
     print(f"runs: {len(a)} / {len(b)}, in one only: {sorted(a.keys() ^ b.keys())}")
-    floats, other = {}, []
+    floats, other, beyond = {}, [], []
     for key in sorted(a.keys() & b.keys()):
-        leaves_a, leaves_b = dict(_leaves(a[key])), dict(_leaves(b[key]))
+        leaves_a, leaves_b = a[key], b[key]
         paths = list(leaves_a) + [p for p in leaves_b if p not in leaves_a]
         for path in paths:
             x, y = leaves_a.get(path, _ABSENT), leaves_b.get(path, _ABSENT)
@@ -117,13 +187,18 @@ def compare(path_a, path_b):
                     field = re.sub(r"\[\d+\]", "[]", path)
                     count, worst, runs = floats.get(field, (0, 0.0, set()))
                     floats[field] = (count + 1, max(worst, abs(x - y)), runs | {key})
+                    if tol and not abs(x - y) <= tol[0] + tol[1] * abs(x):
+                        beyond.append(f"{key}: {path}={x!r} vs {y!r}")
             elif type(x) is not type(y) or x != y:
                 other.append(f"{key}: {path}={x!r} vs {y!r}")
     for field, (count, worst, runs) in sorted(floats.items()):
         print(f"float {field}: {count} in {len(runs)} runs, max |d| {worst:.3g}")
         print(*(f"    {run}" for run in sorted(runs)[:4]), sep="\n")
+    if tol:
+        print(f"floats beyond {tol[0]:g} + {tol[1]:g}|x|: {len(beyond)}",
+              *(f"    {o}" for o in beyond), sep="\n")
     print(f"non-float changes: {len(other)}", *(f"    {o}" for o in other), sep="\n")
-    return 1 if other or a.keys() != b.keys() else 0
+    return 1 if other or beyond or a.keys() != b.keys() else 0
 
 
 if __name__ == "__main__":
@@ -131,16 +206,20 @@ if __name__ == "__main__":
     p.add_argument("out", nargs="?")
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     p.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    p.add_argument("--digest", metavar="OUT", help="write the digest to OUT")
     args = p.parse_args()
     if args.compare:
         sys.exit(compare(*args.compare))
-    sink_path, inputs = Path(args.out).resolve(), Path(args.out + ".inputs").resolve()
     sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.digest:
+        digest = Path(args.digest).resolve()
+        with tempfile.TemporaryDirectory() as inputs:
+            os.chdir(inputs)
+            write_digest(digest)
+        sys.exit()
+    sink_path, inputs = Path(args.out).resolve(), Path(args.out + ".inputs").resolve()
     inputs.mkdir(exist_ok=True)
     os.chdir(inputs)
     with open(sink_path, "w") as sink:
         for argv in _runs():
-            code, out, err = _call(argv)
-            record = {"key": " ".join(argv), "exit": code, "stderr": err}
-            record["stdout"] = json.loads(out) if out else None
-            sink.write(json.dumps(record) + "\n")
+            sink.write(json.dumps(_record(argv)) + "\n")
