@@ -2,8 +2,8 @@
 
 Every invocation prints a single JSON report envelope on stdout with the
 keys command/inputs/tolerances/result/violations/version.  Exit codes:
-0 success (and no fuzz violations), 1 fuzz violations found, 2 usage or
-parse errors.
+0 success (and no fuzz violations), 1 fuzz violations found, 2 usage,
+parse or inapplicable errors.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .structure import (
 
 def _jsonable(value):
     if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -54,7 +54,7 @@ def _envelope(command, inputs, cfg, result, violations):
     return {
         "command": command,
         "inputs": _jsonable(inputs),
-        "tolerances": asdict(cfg),
+        "tolerances": _jsonable(cfg),
         "result": _jsonable(result),
         "violations": _jsonable(list(violations)),
         "version": __version__,
@@ -94,6 +94,13 @@ def _classification_result(report):
     }
 
 
+def _applicable(procedure, *args):
+    try:
+        return procedure(*args)
+    except InapplicableError as exc:
+        return {"applicable": False, "reason": str(exc)}
+
+
 # Each cmd_* returns (inputs, result, violations); main wraps them in the
 # one envelope and exits 1 exactly when there are violations.
 
@@ -109,11 +116,8 @@ def cmd_product(args, cfg):
     result = {
         "hartwig_katz": hartwig_katz(a, b, cfg),
         "johnson_vinoth": johnson_vinoth_check(a, b, cfg),
+        "djordjevic": _applicable(djordjevic_check, a, b, cfg),
     }
-    try:
-        result["djordjevic"] = djordjevic_check(a, b, cfg)
-    except InapplicableError as exc:
-        result["djordjevic"] = {"applicable": False, "reason": str(exc)}
     return {"path_a": args.path_a, "path_b": args.path_b}, result, ()
 
 
@@ -126,11 +130,8 @@ def cmd_decompose(args, cfg):
         "kernel_dim": dec.kernel_dim,
         "residuals": dec.residuals,
         "conditions": posinormal_product_conditions(dec),
+        "kernel_inclusions": _applicable(block_kernel_inclusions, dec),
     }
-    try:
-        result["kernel_inclusions"] = block_kernel_inclusions(dec)
-    except InapplicableError as exc:
-        result["kernel_inclusions"] = {"applicable": False, "reason": str(exc)}
     return {"path_a": args.path_a, "path_b": args.path_b}, result, ()
 
 

@@ -22,6 +22,7 @@ from .subspaces import (
     bouldin_angle,
     factor_pair,
     minimal_angle,
+    projector,
 )
 
 _MAX_REJECTION_TRIES = 100_000
@@ -67,10 +68,6 @@ class TruncationSeries:
     metrics: list
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _complex_gaussian(rng, rows, cols):
     g = rng.standard_normal((2, rows, cols))  # the stream of two draws
     z = np.empty((rows, cols), dtype=np.complex128)
@@ -81,7 +78,7 @@ def _complex_gaussian(rng, rows, cols):
 def random_unitary(n, seed=None):
     """Haar-like random unitary: QR of a complex Gaussian with the phases
     fixed so the triangular factor has positive real diagonal."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     z = _complex_gaussian(rng, n, n)
     q, r = np.linalg.qr(z)
     d = r.diagonal().copy()
@@ -114,7 +111,7 @@ def random_ep(n, r, seed=None, cond_cap=1e4):
     """Random EP matrix of exact rank r: U (C ⊕ 0) U* with C invertible,
     drawn under ``cond_cap``, which must exceed 1."""
     _validate_rank(n, r)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
     c = _invertible_core(rng, r, cond_cap)
     return embed(u, c)
@@ -130,7 +127,7 @@ def random_commuting_ep_pair(n, r, seed=None, cond_cap=1e4):
     _validate_rank(n, r)
     if r == 0:
         raise InputError("rank 0 not supported here; use random_same_kernel_pair")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
     v = random_unitary(r, rng)
 
@@ -151,7 +148,7 @@ def random_commuting_ep_pair(n, r, seed=None, cond_cap=1e4):
 def random_same_kernel_pair(n, r, seed=None, cond_cap=1e4):
     """Two EP matrices of rank r with identical kernel (cores independent)."""
     _validate_rank(n, r)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
     a = embed(u, _invertible_core(rng, r, cond_cap))
     b = embed(u, _invertible_core(rng, r, cond_cap))
@@ -187,7 +184,7 @@ def random_invariant_range_b(a, seed=None, cfg=DEFAULT_TOLERANCES):
     n = a.shape[0]
     if n == 0:
         return a.copy()
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     # never {0}: it spans unit eigenvectors or a Krylov chain from a unit vector
     s = _random_invariant_subspace(a, rng, cfg)
     return s.basis @ _complex_gaussian(rng, s.dim, n)
@@ -287,8 +284,8 @@ def tilted_projection_pair(n):
         m2_basis[2 * k + 1, k] = weight * scale
     m1 = Subspace(dim, m1_basis)
     m2 = Subspace(dim, m2_basis)
-    a = np.eye(dim, dtype=np.complex128) - m1_basis @ m1_basis.conj().T
-    b = m2_basis @ m2_basis.conj().T
+    a = np.eye(dim, dtype=np.complex128) - projector(m1)
+    b = projector(m2)
     return TiltedProjectionPair(a=a, b=b, m1=m1, m2=m2)
 
 

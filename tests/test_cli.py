@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eplab
-from eplab import InputError, catalog, catalog_names, write_matrix
+from eplab import InapplicableError, InputError, catalog, catalog_names, write_matrix
 from eplab.cli import main, parse_size_list
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -50,6 +50,10 @@ class TestParseSizeList:
         with pytest.raises(Exception):
             parse_size_list(",")
 
+    def test_descending_range_is_named(self):
+        with pytest.raises(InputError, match="^empty size range '5:3'$"):
+            parse_size_list("5:3")
+
     @pytest.mark.parametrize("text", ["2:x", "a", "2:", ":3", "2,x:4"])
     def test_malformed_chunk_is_named(self, text):
         bad = text.split(",")[-1]
@@ -83,6 +87,16 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, "classify", str(path))
         assert code == 2
         assert "line 3" in err
+
+    def test_inapplicable_procedure_exits_2_naming_it(self, capsys, monkeypatch):
+        # a NaN residual raises InapplicableError; main prints it, not a report
+        def handler(args, cfg):
+            raise InapplicableError("ep residual is not finite (nan)")
+
+        monkeypatch.setattr("eplab.cli.cmd_classify", handler)
+        code, out, err = run_cli(capsys, "classify", "unread.cmat")
+        assert (code, out) == (2, "")
+        assert err == "eplab: inapplicable: ep residual is not finite (nan)\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "absent.cmat"))

@@ -141,6 +141,15 @@ def test_bad_dims():
         run_suite("collapse", 1, dims=[0], seed=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"trials": -1}, "^trials must be nonnegative$"), ({"jobs": 0}, "^jobs must be >= 1$")],
+)
+def test_bad_trials_and_jobs(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        run_suite("collapse", **{"trials": 1, "dims": [4], **kwargs})
+
+
 def test_trial_replay_is_identical():
     # replaying a trial from its seed must reproduce identical residuals
     for suite in ("hartwig_katz", "collapse", "block_kernels"):

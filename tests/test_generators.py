@@ -120,6 +120,11 @@ class TestDrawsAreReplayed:
         if cap == 5.0:  # the cap decides: 676 of 1176 tries are rejected
             assert sum(rejected) > 0.4 * (len(rejected) + sum(rejected))
 
+    def test_the_sampler_gives_up_after_its_tries(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_REJECTION_TRIES", 3)
+        with pytest.raises(InputError, match="^could not sample a 3x3 core"):
+            generators._invertible_core(np.random.default_rng(0), 3, 1.0 + 1e-9)
+
     @pytest.mark.parametrize(
         "m", [np.zeros((3, 3)), np.diag([1.0, 0.0]), np.diag([2j, 0.0, 1.0])]
     )
@@ -219,6 +224,11 @@ class TestInvariantRange:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = random_invariant_range_b(a, seed=rng)
         assert includes(range_basis(a @ b), range_basis(b))
+
+    def test_an_empty_matrix_gives_an_empty_draw(self):
+        a = np.zeros((0, 0), dtype=complex)
+        b = random_invariant_range_b(a, seed=0)
+        assert b.shape == (0, 0) and b is not a
 
     def test_diagonal_invariant_spans(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -403,6 +413,18 @@ class TestShiftBlock:
     def test_minimum_size(self):
         with pytest.raises(InputError):
             shift_block_pair(1)
+
+
+@pytest.mark.parametrize(
+    "family, size, message",
+    [
+        (tilted_projection_pair, -1, "^truncation index must be >= 0$"),
+        (weighted_shift_truncation, 1, "^truncation size must be >= 2$"),
+    ],
+)
+def test_a_size_below_the_familys_first_is_rejected(family, size, message):
+    with pytest.raises(InputError, match=message):
+        family(size)
 
 
 class TestWeightedShift:

@@ -51,6 +51,20 @@ class TestParse:
             with pytest.raises(CmatParseError):
                 parse_matrix(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cmat 1 x 1\n1\n", "rows/cols must be integers"),
+            ("cmat 1 1 2.0\n1 2\n", "rows/cols must be integers"),
+            ("cmat 1 -1 1\n", "rows/cols must be nonnegative"),
+            ("cmat 1 1 -1\n1\n", "rows/cols must be nonnegative"),
+        ],
+    )
+    def test_bad_header_sizes_are_named(self, text, message):
+        with pytest.raises(CmatParseError, match=message) as err:
+            parse_matrix(text)
+        assert err.value.line == 1
+
     def test_rejects_nonfinite_tokens(self):
         with pytest.raises(CmatParseError) as err:
             parse_matrix("cmat 1 1 1\ninf\n")

@@ -28,10 +28,18 @@ Every entry, of A², A³ and AB too, is an integer far below 2**53, so numpy
 forms them exactly.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from eplab import classify, group_invertible_check, hartwig_katz, power_ep
+from eplab import (
+    classify,
+    group_invertible_check,
+    hartwig_katz,
+    johnson_vinoth_check,
+    power_ep,
+)
 
 
 def _bareiss_rank(rows):
@@ -187,3 +195,23 @@ def test_complex_symmetric_draws_separate_ep_r_from_ep():
         wrong += [(draw, k, v) for k, v in exact.items() if getattr(report, k) != v]
     assert wrong == []
     assert separated >= 0.15 * 300
+
+
+def test_johnson_vinoth_matches_the_exact_oracle():
+    # R(B) ⊆ R(A) iff rank [A, B] = rank A; N(B) ⊆ N(A) iff the rows of A
+    # lie in those of B, rank [A; B] = rank B; on C^n AB is hypo-EP iff EP
+    rng = np.random.default_rng(27)
+    wrong, seen = [], Counter()
+    for draw in range(300):
+        n = int(rng.integers(1, 6))
+        a, b = _draw(rng, n), _draw(rng, n)
+        exact = {
+            "hyp_range": _rank(np.hstack([a, b])) == _rank(a),
+            "hyp_kernel": _rank(np.vstack([a, b])) == _rank(b),
+            "ab_hypo_ep": _ep(a @ b),
+        }
+        seen.update(exact.items())
+        report = johnson_vinoth_check(a, b)
+        wrong += [(draw, k, v) for k, v in exact.items() if getattr(report, k) != v]
+    assert wrong == []
+    assert len(seen) == 6 and min(seen.values()) >= 50  # each fact, both ways
