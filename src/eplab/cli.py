@@ -11,13 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig
 from .errors import EplabError, InapplicableError, InputError
 from .fuzz import SUITES, run_suite
 from .generators import TRUNCATION_FAMILIES, catalog, catalog_names, sweep
@@ -32,8 +31,8 @@ from .structure import (
 
 
 def _jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {f: _jsonable(getattr(value, f)) for f in value._fields}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

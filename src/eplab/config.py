@@ -1,17 +1,63 @@
-"""Tolerance configuration threaded through every numerical decision, and
-the one gate that compares a residual with its tolerance."""
+"""Tolerance configuration threaded through every numerical decision, the one
+tolerance gate, and :class:`Record`, the frozen base of every eplab record."""
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import InapplicableError, InputError
 
 # Gram-matrix defect allowed of a basis handed to Subspace
 ORTHONORMALITY_TOL = 1e-8
+_store = object.__setattr__  # sets a Record's field past its own __setattr__
+_UNSET = object()  # default of a field with none; found by id: arrays == elementwise
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class Record:
+    """A frozen record whose fields are a subclass's own annotations, in order,
+    with class attributes as defaults; compared, hashed and printed field by
+    field (by identity if declared ``eq=False``), and with no code per class."""
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = tuple(cls.__dict__.get(f, _UNSET) for f in cls._fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # not one value per field, by position
+            tail = slice(len(args), None)  # the fields not given by position
+            args += tuple(map(kwargs.pop, fields[tail], self._defaults[tail]))
+            if kwargs or len(args) != len(fields) or id(_UNSET) in map(id, args):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+        for i, name in enumerate(fields):  # in inline values: filling __dict__ would
+            _store(self, name, args[i])  # make each later read of a field ~5x slower
+        if hasattr(self, "__post_init__"):  # looked up now: it may be patched
+            self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**({f: getattr(self, f) for f in self._fields} | changes))
+
+
+class ToleranceConfig(Record):
     """Thresholds used by rank decisions, subspace tests, and PSD checks.
 
     rank_multiplier scales the singular-value cutoff
@@ -26,11 +72,10 @@ class ToleranceConfig:
     psd_tol: float = 1e-10
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self._values()):
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(
-                    f"{f.name} must be finite and strictly positive, got {value!r}"
+                    f"{name} must be finite and strictly positive, got {value!r}"
                 )
 
 

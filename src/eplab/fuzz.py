@@ -22,11 +22,9 @@ than the generator defaults (products multiply condition numbers; the
 suites are meant to probe theorems, not floating-point cliffs).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, within, within_each
 from .errors import InapplicableError, InputError
 from .generators import (
     _complex_gaussian,
@@ -53,16 +51,14 @@ _POWER_COND_CAP = 5.0  # cores raised to the 5th power
 _POWER_MAX_RANK = 4
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     trial: int
     seed: tuple
     kind: str
     details: dict
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzOutcome:
+class FuzzOutcome(Record, eq=False):
     suite: str
     trials: int
     dims: tuple

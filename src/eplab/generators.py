@@ -8,11 +8,10 @@ singular value.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within
+from .config import DEFAULT_TOLERANCES, Record, within
 from .errors import InputError
 from .kernel import embed, require_square
 from .subspaces import (
@@ -30,19 +29,17 @@ _MAX_REJECTION_TRIES = 100_000
 TRUNCATION_FAMILIES = ("tilted_projections", "shift_block", "weighted_shift")
 
 
-@dataclass(frozen=True, eq=False)
-class ExamplePair:
+class ExamplePair(Record, eq=False):
     """A named (a, b) pair with its expected facts and short notes."""
 
     name: str
     a: np.ndarray
     b: np.ndarray
     expected: dict
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedProjectionPair:
+class TiltedProjectionPair(Record, eq=False):
     """Two Hermitian idempotents whose ranges tilt together as n grows."""
 
     a: np.ndarray
@@ -51,8 +48,7 @@ class TiltedProjectionPair:
     m2: Subspace
 
 
-@dataclass(frozen=True)
-class TruncationMetrics:
+class TruncationMetrics(Record):
     size: int
     cos_min_angle: float
     bouldin_cos: float
@@ -61,8 +57,7 @@ class TruncationMetrics:
     residuals: dict
 
 
-@dataclass(frozen=True, eq=False)
-class TruncationSeries:
+class TruncationSeries(Record, eq=False):
     family: str
     sizes: list
     metrics: list

@@ -10,11 +10,9 @@ matrix's one factorization (:class:`eplab.subspaces.Factorization`), whose
 which keeps all of them consistent.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within
+from .config import DEFAULT_TOLERANCES, Record, within
 from .errors import DimensionMismatchError, InputError
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -59,8 +57,7 @@ def require_pair(a, b):
     return a, b
 
 
-@dataclass(frozen=True, eq=False)
-class RankDecision:
+class RankDecision(Record, eq=False):
     """Numerical rank together with the evidence that produced it."""
 
     rank: int
@@ -79,7 +76,7 @@ def decide_rank(singular_values, shape, cfg, scale):
     s = np.asarray(singular_values, dtype=np.float64)
     tol = rank_threshold(scale, shape, cfg)
     rank = int(np.count_nonzero(s > tol))
-    return RankDecision(rank=rank, singular_values=s, threshold=tol)
+    return RankDecision(rank, s, tol)
 
 
 def _psd_form(h, cfg, formed):

@@ -8,17 +8,14 @@ Residuals are normalized by powers of the spectral norm, so classify(c*M)
 agrees with classify(M) for any nonzero scalar c.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, within, within_each
 from .kernel import RankDecision, psd_check, psd_spectrum, require_square
 from .subspaces import _factor, _sigma1
 
 
-@dataclass(frozen=True, eq=False)
-class ClassificationReport:
+class ClassificationReport(Record, eq=False):
     normal: bool
     hyponormal: bool
     quasiposinormal: bool
@@ -34,7 +31,7 @@ class ClassificationReport:
 
 
 # the eight predicate flags of a ClassificationReport, in report order
-FLAG_NAMES = tuple(f.name for f in fields(ClassificationReport) if f.type is bool)
+FLAG_NAMES = tuple(k for k, t in ClassificationReport.__annotations__.items() if t is bool)
 
 
 def classify(m, cfg=DEFAULT_TOLERANCES):

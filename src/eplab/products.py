@@ -8,11 +8,9 @@ procedures read one memoized :class:`~eplab.subspaces.FactoredPair`, so a
 chain of them on one pair factors A, B and AB once.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, within, within_each
 from .errors import InapplicableError, InputError
 from .kernel import psd_check, require_square
 from .subspaces import (
@@ -26,8 +24,7 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(Record):
     """Range/kernel facts about a product AB of square matrices.
 
     ``cond_i``: R(AB) ⊆ R(B).  ``cond_ii``: N(A) ⊆ N(AB).  For EP operands
@@ -45,8 +42,7 @@ class ProductReport:
     residuals: dict
 
 
-@dataclass(frozen=True)
-class GroupInvertibleReport:
+class GroupInvertibleReport(Record):
     """The three equivalent faces of rank stability under squaring."""
 
     kernel_stable: bool  # N(A^2) = N(A)
@@ -55,15 +51,13 @@ class GroupInvertibleReport:
     residuals: dict
 
 
-@dataclass(frozen=True)
-class RangeIdentityReport:
+class RangeIdentityReport(Record):
     hypothesis: bool   # R(AB) ⊆ R(B)
     conclusion: bool   # R(AB) = R(A) ∩ R(B)
     residuals: dict
 
 
-@dataclass(frozen=True)
-class JohnsonVinothReport:
+class JohnsonVinothReport(Record):
     hyp_range: bool    # R(B) ⊆ R(A)
     hyp_kernel: bool   # N(B) ⊆ N(A)
     ab_hypo_ep: bool

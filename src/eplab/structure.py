@@ -12,17 +12,14 @@ order 1 whatever the pair's scale: roundoff in them is of order eps
 never fails on "bad" inputs; residuals let callers decide applicability.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig, within
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, within
 from .errors import InapplicableError
 from .subspaces import _factor, _lazy, factor_pair
 
 
-@dataclass(frozen=True, eq=False)
-class BlockDecomposition:
+class BlockDecomposition(Record, eq=False):
     """Compression of (A, B) to the splitting N(A)^perp + N(A).
 
     ``basis_u`` is the unitary U = [Q | K]; the blocks are slices of U*AU
@@ -64,8 +61,7 @@ class BlockDecomposition:
         return np.vstack([top, bottom])
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Record):
     """Kernel inclusions of the compressed blocks.
 
     ``kernel_z_included``: N(Z) contained in N(Z*).
@@ -86,8 +82,7 @@ class InclusionReport:
     kernel_bprime_equal_residual: float
 
 
-@dataclass(frozen=True)
-class PosinormalProductConditions:
+class PosinormalProductConditions(Record):
     """Sufficient conditions for a commuting product to stay posinormal
     with closed range: B' posinormal, Z coposinormal; y_zero records whether
     N(A) reduces B, y_norm = ||Y|| in units of ‖B‖₂."""

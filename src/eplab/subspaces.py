@@ -19,12 +19,10 @@ decisions read cross matrices from factor blocks (:meth:`Factorization._block`).
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, ToleranceConfig, within
+from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, Record, ToleranceConfig, within
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
     RankDecision, as_matrix, decide_rank, rank_threshold, require_pair,
@@ -50,8 +48,7 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(Record, eq=False):
     """A linear subspace of C^n, represented by an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)``; a zero-column basis is the
@@ -107,8 +104,7 @@ def _spanned(basis, complement):
     return s
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
+class Factorization(Record, eq=False):
     """The matrix ``m``, its full SVD ``m = u diag(s) vh`` and its rank
     decision.
 
@@ -250,8 +246,7 @@ def _factor_product(fa, fb, cfg):
     return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredPair:
+class FactoredPair(Record, eq=False):
     """A validated square pair (A, B) under one tolerance config, with
     read-only copies of the operands.  The factorizations ``fa``, ``fb`` and
     ``fab``, and each fact or report built from them, are made on first use
@@ -264,7 +259,9 @@ class FactoredPair:
     a: np.ndarray
     b: np.ndarray
     cfg: ToleranceConfig
-    _reports: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_reports", {})  # build -> its kept fact
 
     fa = _lazy(lambda self: _factor(self.a, self.cfg))
     fb = _lazy(lambda self: _factor(self.b, self.cfg))
@@ -281,7 +278,7 @@ class FactoredPair:
         """The :meth:`fact` ``build``, copied so that its ``residuals`` dict
         is the caller's own."""
         built = self.fact(build)
-        return replace(built, residuals=dict(built.residuals))
+        return built._replace(residuals=dict(built.residuals))
 
 
 _last_pair = (None, None)  # (key, pair) of the last pair factor_pair built
@@ -307,19 +304,17 @@ def factor_pair(a, b, cfg=DEFAULT_TOLERANCES):
     return pair
 
 
-@dataclass(frozen=True)
-class BouldinComponents:
+class BouldinComponents(Record):
     """Dimensions entering the deflated-kernel angle computation."""
 
     dim_kernel_range_intersection: int
     dim_deflated_kernel: int
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(Record):
     cos_min_angle: float
     angle_radians: float
-    bouldin_components: Optional[BouldinComponents] = None
+    bouldin_components: BouldinComponents = None
 
 
 def projector(s, cfg=DEFAULT_TOLERANCES):
@@ -452,10 +447,7 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     ns, rt = pair.fa.kernel, pair.fb.range
     v = intersect(ns, rt, cfg)
     w = intersect(ns, _orth(v), cfg)  # the complement of V inside N(s)
-    components = BouldinComponents(
-        dim_kernel_range_intersection=v.dim, dim_deflated_kernel=w.dim
-    )
+    components = BouldinComponents(v.dim, w.dim)
     if w.dim == 0 or rt.dim == 0:
         return AngleReport(0.0, math.pi / 2.0, components)
-    report = minimal_angle(rt, w)
-    return AngleReport(report.cos_min_angle, report.angle_radians, components)
+    return minimal_angle(rt, w)._replace(bouldin_components=components)

@@ -363,14 +363,25 @@ class TestSeedEnvironment:
 
 
 class TestColdStart:
-    def test_import_does_not_load_the_process_pool(self):
-        # multiprocessing is imported only by a run with --jobs above 1
+    @staticmethod
+    def loaded_by_import(module):
+        """Whether ``import eplab.cli`` in a fresh interpreter loads
+        ``module``, as that interpreter prints it: "True" or "False"."""
         src = str(Path(eplab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import eplab.cli, sys; print('concurrent.futures.process' in sys.modules)"
+        code = f"import eplab.cli, sys; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_does_not_load_the_process_pool(self):
+        # multiprocessing is imported only by a run with --jobs above 1
+        assert self.loaded_by_import("concurrent.futures.process") == "False"
+
+    def test_import_does_not_load_dataclasses(self):
+        # reports are config.Record subclasses: defining one runs no exec,
+        # where each frozen dataclass ran it about five times at import
+        assert self.loaded_by_import("dataclasses") == "False"

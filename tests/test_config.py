@@ -1,9 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from eplab.config import ToleranceConfig, within
 from eplab.errors import InapplicableError, InputError
+from eplab.fuzz import Violation
+from eplab.kernel import RankDecision
+from eplab.predicates import classify
+from eplab.products import hartwig_katz
+from eplab.subspaces import AngleReport, factor, factor_pair
 
 
 class TestWithin:
@@ -41,3 +47,67 @@ class TestToleranceConfig:
     def test_rejects_non_finite_and_non_positive(self, name, value):
         with pytest.raises(InputError, match=name):
             ToleranceConfig(**{name: value})
+
+
+class TestRecord:
+    """The frozen-record semantics every report and tolerance config has."""
+
+    def test_a_field_can_be_neither_assigned_nor_deleted(self):
+        cfg = ToleranceConfig()
+        with pytest.raises(AttributeError):
+            cfg.psd_tol = 1.0
+        with pytest.raises(AttributeError):
+            del cfg.psd_tol
+        assert cfg.psd_tol == 1e-10
+
+    def test_tolerance_configs_hash_and_compare_by_value(self):
+        a, b = ToleranceConfig(subspace_tol=1e-6), ToleranceConfig(50.0, 1e-6, 1e-10)
+        assert a == b and hash(a) == hash(b) and a != ToleranceConfig()
+        m = np.diag([1.0, 0.0])
+        # factor_pair's memo key holds the config: an equal one still hits it
+        assert factor_pair(m, m, a) is factor_pair(m.copy(), m.copy(), b)
+
+    def test_violations_compare_by_value(self):
+        def violations(ab_ep):
+            return [Violation(3, (1, 3), "biconditional", {"ab_ep": ab_ep})]
+
+        assert violations(0.5) == violations(0.5)
+        assert violations(0.5) != violations(0.25)
+
+    def test_eq_false_records_compare_by_identity(self):
+        m = np.diag([1.0, 0.0])
+        f, report = factor(m), classify(m)
+        assert f == f and f != factor(m)
+        assert report == report and report != classify(m)
+        assert {f: 1}[f] == 1  # hashable by identity
+
+    def test_a_pair_report_owns_its_residuals(self):
+        a, b = np.diag([1.0, 0.0]), np.eye(2)
+        first, second = hartwig_katz(a, b), hartwig_katz(a, b)
+        assert first == second and first.residuals is not second.residuals
+        first.residuals["cond_i"] = -1.0
+        assert hartwig_katz(a, b).residuals == second.residuals
+
+    def test_a_class_attribute_is_a_default(self):
+        report = AngleReport(0.5, 1.0)
+        assert report.bouldin_components is None
+        assert report == AngleReport(cos_min_angle=0.5, angle_radians=1.0)
+        assert ToleranceConfig(psd_tol=1e-6).rank_multiplier == 50.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ToleranceConfig(subspace_tl=1e-6),  # unknown
+            lambda: ToleranceConfig(50.0, 1e-8, 1e-10, 1.0),  # extra
+            lambda: ToleranceConfig(50.0, rank_multiplier=50.0),  # repeated
+            lambda: RankDecision(1, np.ones(1)),  # missing, with no default
+            lambda: RankDecision(1, np.ones(1), thresh=0.0),  # unknown for missing
+        ],
+    )
+    def test_a_bad_argument_list_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_a_non_positive_tolerance_still_raises_input_error(self):
+        with pytest.raises(InputError, match="psd_tol"):
+            ToleranceConfig(psd_tol=0)

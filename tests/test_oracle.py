@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from eplab import (
+    bouldin_angle,
     classify,
     group_invertible_check,
     hartwig_katz,
@@ -215,3 +216,23 @@ def test_johnson_vinoth_matches_the_exact_oracle():
         wrong += [(draw, k, v) for k, v in exact.items() if getattr(report, k) != v]
     assert wrong == []
     assert len(seen) == 6 and min(seen.values()) >= 50  # each fact, both ways
+
+
+def test_bouldin_dimensions_match_the_exact_oracle():
+    # A maps R(B) onto R(AB) with kernel V = N(A) ∩ R(B), so dim V =
+    # rank B − rank AB; W, the complement of V inside N(A), has the rest
+    rng = np.random.default_rng(28)
+    wrong, seen = [], Counter()
+    for draw in range(300):
+        n = int(rng.integers(1, 6))
+        a, b = _draw(rng, n), _draw(rng, n)
+        shared = _rank(b) - _rank(a @ b)
+        exact = {
+            "dim_kernel_range_intersection": shared,
+            "dim_deflated_kernel": n - _rank(a) - shared,
+        }
+        seen.update((k, v > 0) for k, v in exact.items())
+        got = bouldin_angle(a, b).bouldin_components
+        wrong += [(draw, k, v) for k, v in exact.items() if getattr(got, k) != v]
+    assert wrong == []
+    assert len(seen) == 4 and min(seen.values()) >= 50  # each zero and nonzero
