@@ -17,7 +17,7 @@ class Record:
     field (by identity if declared ``eq=False``), and with no code per class."""
 
     def __init_subclass__(cls, eq=True):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)  # the class's own, never a base's
         cls._defaults = tuple(cls.__dict__.get(f, _UNSET) for f in cls._fields)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
@@ -29,8 +29,8 @@ class Record:
             args += tuple(map(kwargs.pop, fields[tail], self._defaults[tail]))
             if kwargs or len(args) != len(fields) or id(_UNSET) in map(id, args):
                 raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
-        for i, name in enumerate(fields):  # in inline values: filling __dict__ would
-            _store(self, name, args[i])  # make each later read of a field ~5x slower
+        for name, value in zip(fields, args):  # in inline values: filling __dict__
+            _store(self, name, value)  # would make each later read ~5x slower
         if hasattr(self, "__post_init__"):  # looked up now: it may be patched
             self.__post_init__()
 
@@ -74,9 +74,7 @@ class ToleranceConfig(Record):
     def __post_init__(self):
         for name, value in zip(self._fields, self._values()):
             if not (math.isfinite(value) and value > 0.0):
-                raise InputError(
-                    f"{name} must be finite and strictly positive, got {value!r}"
-                )
+                raise InputError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

@@ -450,4 +450,5 @@ def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
     components = BouldinComponents(v.dim, w.dim)
     if w.dim == 0 or rt.dim == 0:
         return AngleReport(0.0, math.pi / 2.0, components)
-    return minimal_angle(rt, w)._replace(bouldin_components=components)
+    report = minimal_angle(rt, w)
+    return AngleReport(report.cos_min_angle, report.angle_radians, components)

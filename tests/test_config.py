@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from eplab.config import ToleranceConfig, within
+import eplab  # noqa: F401  (defines every record class)
+from eplab.config import Record, ToleranceConfig, within
 from eplab.errors import InapplicableError, InputError
 from eplab.fuzz import Violation
 from eplab.kernel import RankDecision
@@ -51,6 +53,12 @@ class TestToleranceConfig:
 
 class TestRecord:
     """The frozen-record semantics every report and tolerance config has."""
+
+    def test_the_fields_are_each_record_class_annotations_in_order(self):
+        # inspect.get_annotations reads annotations on every Python version,
+        # including those that no longer keep them in the class __dict__
+        for cls in Record.__subclasses__():
+            assert cls._fields and cls._fields == tuple(inspect.get_annotations(cls))
 
     def test_a_field_can_be_neither_assigned_nor_deleted(self):
         cfg = ToleranceConfig()
