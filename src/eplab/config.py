@@ -57,6 +57,26 @@ class Record:
         return type(self)(**({f: getattr(self, f) for f in self._fields} | changes))
 
 
+class _lazy:
+    """A record's fact computed on first access and stored like a field, in
+    the instance's inline values, where it shadows this descriptor.  Unlike
+    Python 3.11's cached property it takes no lock: a racing first access
+    may compute a fact twice, which ``factor_pair``'s memo already allows."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        _store(obj, self.name, value)
+        return value
+
+
 class ToleranceConfig(Record):
     """Thresholds used by rank decisions, subspace tests, and PSD checks.
 

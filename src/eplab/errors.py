@@ -29,3 +29,9 @@ class CmatParseError(InputError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def require_known(name, names, what):
+    """Raise InputError, listing the known ``names``, unless ``name`` is one."""
+    if name not in names:
+        raise InputError(f"unknown {what} {name!r}; known: {', '.join(sorted(names))}")

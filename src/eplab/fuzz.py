@@ -25,7 +25,7 @@ suites are meant to probe theorems, not floating-point cliffs).
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, within, within_each
-from .errors import InapplicableError, InputError
+from .errors import InapplicableError, InputError, require_known
 from .generators import (
     _complex_gaussian,
     random_commuting_ep_pair,
@@ -242,12 +242,8 @@ def trial_seed(master_seed, trial):
 
 def _suite(name):
     """The trial function of suite ``name``."""
-    try:
-        return SUITES[name]
-    except KeyError:
-        raise InputError(
-            f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
-        ) from None
+    require_known(name, SUITES, "suite")
+    return SUITES[name]
 
 
 def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):

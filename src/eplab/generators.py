@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, within
-from .errors import InputError
+from .errors import InputError, require_known
 from .kernel import embed, require_square
 from .subspaces import (
     Subspace,
@@ -246,12 +246,8 @@ def catalog_names():
 
 def catalog(name):
     entries = _catalog_entries()
-    try:
-        return entries[name]
-    except KeyError:
-        raise InputError(
-            f"unknown catalog name {name!r}; known: {', '.join(sorted(entries))}"
-        ) from None
+    require_known(name, entries, "catalog name")
+    return entries[name]
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +362,7 @@ def sweep(family, sizes, cfg=DEFAULT_TOLERANCES):
     above-threshold singular value of the product, and the product's EP
     flag.  Monotonicity assertions are left to callers.
     """
-    if family not in TRUNCATION_FAMILIES:
-        raise InputError(
-            f"unknown family {family!r}; known: {', '.join(TRUNCATION_FAMILIES)}"
-        )
+    require_known(family, TRUNCATION_FAMILIES, "family")
     sizes = [int(s) for s in sizes]
     if any(later <= earlier for earlier, later in zip(sizes, sizes[1:])):
         raise InputError("sizes must be strictly increasing")

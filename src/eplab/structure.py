@@ -14,9 +14,9 @@ never fails on "bad" inputs; residuals let callers decide applicability.
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, within
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, _lazy, within
 from .errors import InapplicableError
-from .subspaces import _factor, _lazy, factor_pair
+from .subspaces import _factor, factor_pair
 
 
 class BlockDecomposition(Record, eq=False):
@@ -173,12 +173,3 @@ def posinormal_product_conditions(dec):
         y_norm=y_norm,
     )
 
-
-__all__ = [
-    "BlockDecomposition",
-    "InclusionReport",
-    "PosinormalProductConditions",
-    "decompose_pair",
-    "block_kernel_inclusions",
-    "posinormal_product_conditions",
-]

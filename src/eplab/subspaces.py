@@ -22,30 +22,13 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, Record, ToleranceConfig, within
+from .config import (
+    DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, Record, ToleranceConfig, _lazy, _store, within,
+)
 from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
 from .kernel import (
     RankDecision, as_matrix, decide_rank, rank_threshold, require_pair,
 )
-
-
-class _lazy:
-    """A fact computed on first access and kept in the instance's ``__dict__``,
-    where it shadows this descriptor.  Unlike Python 3.11's cached property
-    it takes no lock: a racing first access may compute a fact twice, which
-    :func:`factor_pair`'s memo already allows."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class Subspace(Record, eq=False):
@@ -65,7 +48,7 @@ class Subspace(Record, eq=False):
         if "complement" in self.__dict__:  # a view: see _spanned
             return
         basis = as_matrix(self.basis)
-        object.__setattr__(self, "basis", basis)
+        _store(self, "basis", basis)
         n, k = basis.shape
         if n != self.ambient_dim:
             raise InputError(
@@ -99,7 +82,7 @@ def _spanned(basis, complement):
     """The span of complex128 ``basis``, carrying ``complement`` (the other
     columns of a unitary), held before ``__post_init__``, which trusts it."""
     s = Subspace.__new__(Subspace)
-    s.__dict__["complement"] = complement
+    _store(s, "complement", complement)
     s.__init__(basis.shape[0], basis)
     return s
 
@@ -260,9 +243,7 @@ class FactoredPair(Record, eq=False):
     b: np.ndarray
     cfg: ToleranceConfig
 
-    def __post_init__(self):
-        object.__setattr__(self, "_reports", {})  # build -> its kept fact
-
+    _reports = _lazy(lambda self: {})  # build -> its kept fact
     fa = _lazy(lambda self: _factor(self.a, self.cfg))
     fb = _lazy(lambda self: _factor(self.b, self.cfg))
     fab = _lazy(lambda self: _factor_product(self.fa, self.fb, self.cfg))

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from eplab.fuzz import Violation
 from eplab.kernel import RankDecision
 from eplab.predicates import classify
 from eplab.products import hartwig_katz
+from eplab.structure import decompose_pair
 from eplab.subspaces import AngleReport, factor, factor_pair
 
 
@@ -115,6 +118,27 @@ class TestRecord:
     def test_a_bad_argument_list_raises_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="no inline values before 3.11")
+    def test_kept_facts_are_stored_beside_the_fields_with_no_instance_dict(self):
+        # gc.get_referents lists a record's inline values one by one, and its
+        # instance dict once one is made; a made dict sends every later read
+        # of the record down CPython's slow path
+        a, b = np.diag([1.0, 1.0, 0.0]), np.diag([2.0, 1.0, 3.0])
+        f, pair = factor(a @ b), factor_pair(a, b)
+        dec = decompose_pair(a, b)  # one pair report, kept in pair._reports
+        facts = {
+            f: ("range", "unit", "pinv", "posinormal_residual"),
+            pair: ("fa",),
+            dec: ("fbp", "fz"),
+        }
+        read = {obj: [getattr(obj, name) for name in names] for obj, names in facts.items()}
+        kept_dicts = {f: [], pair: [pair._reports], dec: [dec.residuals]}
+        assert len(pair._reports) == 1  # decompose_pair read the memoized pair
+        for obj, names in facts.items():
+            dicts = [x for x in gc.get_referents(obj) if type(x) is dict]
+            assert list(map(id, dicts)) == list(map(id, kept_dicts[obj]))
+            assert all(getattr(obj, n) is fact for n, fact in zip(names, read[obj]))
 
     def test_a_non_positive_tolerance_still_raises_input_error(self):
         with pytest.raises(InputError, match="psd_tol"):

@@ -24,6 +24,7 @@ from eplab import (
     random_same_kernel_pair,
     random_unitary,
     range_basis,
+    run_suite,
     shift_block_pair,
     sweep,
     tilted_projection_pair,
@@ -487,3 +488,28 @@ class TestSweep:
     def test_sizes_must_increase(self):
         with pytest.raises(InputError):
             sweep("weighted_shift", [4, 3])
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (
+            lambda: run_suite("nope", 1, dims=[2]),
+            "unknown suite 'nope'; known: block_kernels, collapse, commuting_ep, "
+            "commuting_posinormal, group_invertible, hartwig_katz, invariant_range, "
+            "johnson_vinoth, powers, same_kernel",
+        ),
+        (
+            lambda: catalog("nope"),
+            "unknown catalog name 'nope'; known: epr_not_ep, jordan2, shear_projection_pair",
+        ),
+        (
+            lambda: sweep("nope", [2]),
+            "unknown family 'nope'; known: shift_block, tilted_projections, weighted_shift",
+        ),
+    ],
+)
+def test_an_unknown_name_lists_the_known_names_sorted(lookup, message):
+    with pytest.raises(InputError) as raised:
+        lookup()
+    assert str(raised.value) == message

@@ -238,7 +238,7 @@ def test_only_subspaces_calls_the_svd():
 
 
 def test_no_locking_lazy_facts_and_no_cond():
-    # the lazy facts are subspaces._lazy, which, unlike Python 3.11's
+    # the lazy facts are config._lazy, which, unlike Python 3.11's
     # functools one, takes no lock on first use, and every condition cap
     # reads subspaces._cond's one singular-value SVD, not numpy's cond with
     # its errstate and NaN passes

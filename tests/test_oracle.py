@@ -34,11 +34,14 @@ import numpy as np
 import pytest
 
 from eplab import (
+    block_kernel_inclusions,
     bouldin_angle,
     classify,
+    decompose_pair,
     group_invertible_check,
     hartwig_katz,
     johnson_vinoth_check,
+    posinormal_product_conditions,
     power_ep,
 )
 
@@ -236,3 +239,41 @@ def test_bouldin_dimensions_match_the_exact_oracle():
         wrong += [(draw, k, v) for k, v in exact.items() if getattr(got, k) != v]
     assert wrong == []
     assert len(seen) == 4 and min(seen.values()) >= 50  # each zero and nonzero
+
+
+def test_block_decomposition_matches_the_exact_oracle():
+    # A = P·diag(I_r, 0)·P* and B = P·(B' ⊕ Z)·P* for a signed permutation P
+    # (entries ±1, ±i) commute exactly and stay Gaussian-integer; the
+    # decomposition's B' and Z are the drawn blocks up to a unitary and a
+    # positive scale, so on C^n each block flag is its block's EP
+    rng = np.random.default_rng(29)
+    wrong, seen = [], Counter()
+    for draw in range(300):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(1, n))
+        bp, z = _draw(rng, r), _draw(rng, n - r)
+        p = np.zeros((n, n), dtype=np.complex128)
+        p[np.arange(n), rng.permutation(n)] = rng.choice([1, -1, 1j, -1j], n)
+        blocks = np.zeros((n, n), dtype=np.complex128)
+        blocks[:r, :r], blocks[r:, r:] = bp, z
+        a = p @ np.diag([1.0] * r + [0.0] * (n - r)) @ p.conj().T
+        b = p @ blocks @ p.conj().T
+        bp_ep, z_ep = _ep(bp), _ep(z)
+        exact = {
+            "b_prime_posinormal": bp_ep,
+            "kernel_bprime_included": bp_ep,
+            "kernel_bprime_equal": bp_ep,
+            "z_coposinormal": z_ep,
+            "kernel_z_included": z_ep,
+            "kernel_z_equal": z_ep,
+            "y_zero": True,
+            "core_dim": r,
+        }
+        seen.update((k, exact[k]) for k in ("b_prime_posinormal", "z_coposinormal"))
+        dec = decompose_pair(a, b)
+        got = {"core_dim": dec.core_dim}
+        for report in (block_kernel_inclusions(dec), posinormal_product_conditions(dec)):
+            got.update((f, getattr(report, f)) for f in report._fields)
+        wrong += [(draw, k, v) for k, v in exact.items() if got[k] != v]
+    assert wrong == []
+    assert len(seen) == 4 and min(seen.values()) >= 50  # each block EP and not
