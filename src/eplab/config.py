@@ -21,6 +21,11 @@ class Record:
         cls._defaults = tuple(cls.__dict__.get(f, _UNSET) for f in cls._fields)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        # CPython 3.11 adds names to a class's shared keys only while it has few
+        # instances, and a name first stored later makes an instance dict
+        blank = object.__new__(cls)  # so this one stores each field and kept fact
+        for name in (*cls._fields, *(n for n, v in vars(cls).items() if type(v) is _lazy)):
+            _store(blank, name, None)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -95,30 +95,29 @@ def _mixed_square(rng, n):
     return u @ nilpotent @ u.conj().T
 
 
-def _t_hartwig_katz(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
+def _t_hartwig_katz(rng, n, cfg):
     a, b = _ep(rng, n), _ep(rng, n)
     flags = within_each(factor_pair(a, b, cfg).fact(_hartwig_katz), cfg.subspace_tol)
     holds = flags["ab_ep"] == (flags["cond_i"] and flags["cond_ii"])
     return [("biconditional", holds, lambda: hartwig_katz(a, b, cfg).residuals)]
 
 
-def _t_group_invertible(rng, dims, cfg):
-    report = group_invertible_check(_mixed_square(rng, _pick_dim(rng, dims)), cfg)
+def _t_group_invertible(rng, n, cfg):
+    report = group_invertible_check(_mixed_square(rng, n), cfg)
     holds = report.kernel_stable == report.range_stable == report.rank_stable
     return [("equivalence", holds, report.residuals)]
 
 
-def _t_invariant_range(rng, dims, cfg):
-    a = _ep(rng, _pick_dim(rng, dims))
+def _t_invariant_range(rng, n, cfg):
+    a = _ep(rng, n)
     report = product_range_identity(a, random_invariant_range_b(a, rng, cfg), cfg)
     # the conclusion is checked only where the hypothesis holds
     kind = "conclusion" if report.hypothesis else "hypothesis"
     return [(kind, report.hypothesis and report.conclusion, report.residuals)]
 
 
-def _t_same_kernel(rng, dims, cfg):
-    a, b = _same_kernel_pair(rng, dims)
+def _t_same_kernel(rng, n, cfg):
+    a, b = _same_kernel_pair(rng, n)
     records = []
     for tag, product in (("ab_ep", a @ b), ("ba_ep", b @ a)):
         ep, residual = is_ep(product, cfg)
@@ -126,27 +125,25 @@ def _t_same_kernel(rng, dims, cfg):
     return records
 
 
-def _same_kernel_pair(rng, dims):
-    n = _pick_dim(rng, dims)
+def _same_kernel_pair(rng, n):
     r = int(rng.integers(0, n + 1))
     return random_same_kernel_pair(n, r, rng, cond_cap=_PAIR_COND_CAP)
 
 
-def _commuting_pair(rng, dims):
-    n = _pick_dim(rng, dims)
+def _commuting_pair(rng, n):
     r = int(rng.integers(1, n + 1))
     return random_commuting_ep_pair(n, r, rng, cond_cap=_PAIR_COND_CAP)
 
 
-def _t_commuting_posinormal(rng, dims, cfg):
-    a, b = _commuting_pair(rng, dims)
+def _t_commuting_posinormal(rng, n, cfg):
+    a, b = _commuting_pair(rng, n)
     residual = _factor(a @ b, cfg).posinormal_residual
     holds = within(residual, cfg.subspace_tol, "posinormal_inclusion")
     return [("product_posinormal", holds, {"residual": residual})]
 
 
-def _t_commuting_ep(rng, dims, cfg):
-    a, b = _commuting_pair(rng, dims)
+def _t_commuting_ep(rng, n, cfg):
+    a, b = _commuting_pair(rng, n)
     fab = _factor(a @ b, cfg)
     ep = within(fab.ep_residual, cfg.subspace_tol, "ep residual")
     ep_ba, res_ba = is_ep(b @ a, cfg)
@@ -161,23 +158,22 @@ def _t_commuting_ep(rng, dims, cfg):
     return [("product_ep", ep, inclusions), ("order_agreement", ep == ep_ba, orders)]
 
 
-def _t_johnson_vinoth(rng, dims, cfg):
+def _t_johnson_vinoth(rng, n, cfg):
     # EP matrices sharing their kernel (so their range) meet both hypotheses
-    report = johnson_vinoth_check(*_same_kernel_pair(rng, dims), cfg)
+    report = johnson_vinoth_check(*_same_kernel_pair(rng, n), cfg)
     hypotheses = report.hyp_range and report.hyp_kernel
     kind = "product_hypo_ep" if hypotheses else "hypotheses"
     return [(kind, hypotheses and report.ab_hypo_ep, report.residuals)]
 
 
-def _t_powers(rng, dims, cfg):
-    n = _pick_dim(rng, dims)
+def _t_powers(rng, n, cfg):
     r = int(rng.integers(0, min(n, _POWER_MAX_RANK) + 1))
     flags = power_ep(random_ep(n, r, rng, cond_cap=_POWER_COND_CAP), 5, cfg)
     return [("power_ep", flag, {"power": k}) for k, flag in enumerate(flags, 1)]
 
 
-def _t_block_kernels(rng, dims, cfg):
-    dec = decompose_pair(*_commuting_pair(rng, dims), cfg)
+def _t_block_kernels(rng, n, cfg):
+    dec = decompose_pair(*_commuting_pair(rng, n), cfg)
     try:
         report = block_kernel_inclusions(dec)
     except InapplicableError as exc:
@@ -196,8 +192,8 @@ def _t_block_kernels(rng, dims, cfg):
     ]
 
 
-def _t_collapse(rng, dims, cfg):
-    report = classify(_mixed_square(rng, _pick_dim(rng, dims)), cfg)
+def _t_collapse(rng, n, cfg):
+    report = classify(_mixed_square(rng, n), cfg)
     res, conflicts = report.residuals, report.conflicts
     flags = {
         "quasiposinormal": report.quasiposinormal,
@@ -251,7 +247,7 @@ def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):
     its violations, one for each failed check in check order, with the
     details a failed check builds, and its number of checks."""
     rng = np.random.default_rng(trial_seed(master_seed, trial))
-    records = _suite(suite)(rng, tuple(dims), cfg)
+    records = _suite(suite)(rng, _pick_dim(rng, dims), cfg)
     seed = (int(master_seed), int(trial))
     violations = [
         Violation(trial=trial, seed=seed, kind=kind,

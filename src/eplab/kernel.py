@@ -83,8 +83,8 @@ def _psd_form(h, cfg, formed):
     """The Hermitian part herm = (h + h*)/2 of square ``h``, formed here only,
     and the PSD bound ``psd_tol * (1 + ||herm||)`` read from it; raises
     InputError when ``h`` is farther than that bound from Hermitian in
-    Frobenius norm.  A commutator eplab ``formed`` is square, finite and
-    Hermitian up to its products' roundoff, which herm absorbs: unchecked."""
+    Frobenius norm.  What eplab ``formed`` (m*m − mm* of unit-scaled m, or
+    V_rV_r* − U_rU_r*) is square, finite and Hermitian to roundoff: unchecked."""
     h = h if formed else require_square(h, "psd_check input")
     h_adj = h.conj().T
     herm = 0.5 * (h + h_adj)

@@ -43,9 +43,10 @@ class Subspace(Record, eq=False):
 
     ambient_dim: int
     basis: np.ndarray
+    _view = _lazy(lambda self: False)  # True on a view eplab builds: see _spanned
 
     def __post_init__(self):
-        if "complement" in self.__dict__:  # a view: see _spanned
+        if self._view:
             return
         basis = as_matrix(self.basis)
         _store(self, "basis", basis)
@@ -79,10 +80,11 @@ def _gram_defect(q):
 
 
 def _spanned(basis, complement):
-    """The span of complex128 ``basis``, carrying ``complement`` (the other
-    columns of a unitary), held before ``__post_init__``, which trusts it."""
+    """A view: the span of complex128 ``basis``, carrying ``complement`` (the
+    other columns of a unitary), marked before ``__post_init__`` trusts it."""
     s = Subspace.__new__(Subspace)
     _store(s, "complement", complement)
+    _store(s, "_view", True)
     s.__init__(basis.shape[0], basis)
     return s
 
@@ -146,9 +148,11 @@ class Factorization(Record, eq=False):
 
     @_lazy
     def projector_commutator(self):
-        """``pinv @ m - m @ pinv``: zero exactly when m is EP and, Hermitian up
-        to roundoff, PSD exactly when m is hypo-EP."""
-        return self.pinv @ self.m - self.m @ self.pinv
+        """m⁺m − mm⁺ as V_rV_r* − U_rU_r* from the factor blocks: Hermitian to
+        roundoff at any condition, of eigenvalues 0 and ±sin of the principal
+        angles of R(m) and R(m*); zero iff m is EP, PSD iff m is hypo-EP."""
+        v, u = self._block("corange"), self._block("range")
+        return v @ v.conj().T - u @ u.conj().T
 
     @_lazy
     def unit(self):

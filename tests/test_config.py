@@ -9,12 +9,13 @@ import pytest
 import eplab  # noqa: F401  (defines every record class)
 from eplab.config import Record, ToleranceConfig, within
 from eplab.errors import InapplicableError, InputError
-from eplab.fuzz import Violation
+from eplab.fuzz import SUITES, Violation, run_suite
+from eplab.generators import random_commuting_ep_pair, sweep
 from eplab.kernel import RankDecision
 from eplab.predicates import classify
 from eplab.products import hartwig_katz
-from eplab.structure import decompose_pair
-from eplab.subspaces import AngleReport, factor, factor_pair
+from eplab.structure import block_kernel_inclusions, decompose_pair
+from eplab.subspaces import AngleReport, Subspace, factor, factor_pair, intersect, subspace_sum
 
 
 class TestWithin:
@@ -125,20 +126,53 @@ class TestRecord:
         # instance dict once one is made; a made dict sends every later read
         # of the record down CPython's slow path
         a, b = np.diag([1.0, 1.0, 0.0]), np.diag([2.0, 1.0, 3.0])
+        for _ in range(40):  # past the instances after which CPython 3.11 adds
+            factor(a)  # no name to a class's shared keys: facts read below are new
+            Subspace(3, np.eye(3)[:, :1])
         f, pair = factor(a @ b), factor_pair(a, b)
         dec = decompose_pair(a, b)  # one pair report, kept in pair._reports
+        # views, a caller's subspace and the lattice's new results: a view is
+        # marked by its kept fact _view, not found in its dict
+        caller = Subspace(3, np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2.0))
+        meet, join = intersect(f.range, caller), subspace_sum(f.kernel, caller)
+        assert (meet.dim, join.dim) == (0, 2)
         facts = {
-            f: ("range", "unit", "pinv", "posinormal_residual"),
+            f: ("range", "kernel", "cokernel", "corange", "unit", "pinv", "ep_residual"),
             pair: ("fa",),
             dec: ("fbp", "fz"),
+            **{s: ("complement",) for s in (f.range, f.kernel, caller, meet, join)},
         }
         read = {obj: [getattr(obj, name) for name in names] for obj, names in facts.items()}
-        kept_dicts = {f: [], pair: [pair._reports], dec: [dec.residuals]}
+        kept_dicts = {pair: [pair._reports], dec: [dec.residuals]}
         assert len(pair._reports) == 1  # decompose_pair read the memoized pair
         for obj, names in facts.items():
             dicts = [x for x in gc.get_referents(obj) if type(x) is dict]
-            assert list(map(id, dicts)) == list(map(id, kept_dicts[obj]))
+            assert list(map(id, dicts)) == list(map(id, kept_dicts.get(obj, [])))
             assert all(getattr(obj, n) is fact for n, fact in zip(names, read[obj]))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="no inline values before 3.11")
+    def test_no_record_made_by_the_procedures_has_an_instance_dict(self, monkeypatch):
+        # every record each procedure builds, kept alive to the end; an
+        # instance dict holds every field, and a field's dict value none
+        made, init = [], Record.__init__
+
+        def keep(record, *args, **kwargs):
+            made.append(record)
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(Record, "__init__", keep)
+        a, b = random_commuting_ep_pair(5, 3, seed=3)
+        classify(a @ b)
+        hartwig_katz(a, b)
+        block_kernel_inclusions(decompose_pair(a, b))
+        for suite in SUITES:
+            run_suite(suite, 3, [2, 5], seed=1)
+        sweep("shift_block", [4, 6])
+        kinds = {type(r).__name__ for r in made}
+        assert {"Subspace", "Factorization", "FactoredPair", "FuzzOutcome"} <= kinds
+        for r in made:
+            fields = set(r._fields)
+            assert not any(type(x) is dict and fields <= x.keys() for x in gc.get_referents(r))
 
     def test_a_non_positive_tolerance_still_raises_input_error(self):
         with pytest.raises(InputError, match="psd_tol"):

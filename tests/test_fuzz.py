@@ -76,7 +76,7 @@ def _full_details(suite, rng, cfg):
         a, b = fuzz._ep(rng, n), fuzz._ep(rng, n)
         return {"biconditional": hartwig_katz(a, b, cfg).residuals}
     if suite == "commuting_ep":
-        a, b = fuzz._commuting_pair(rng, DIMS)
+        a, b = fuzz._commuting_pair(rng, fuzz._pick_dim(rng, DIMS))
         residuals = classify(a @ b, cfg).residuals
         inclusions = {
             "posinormal_residual": residuals["posinormal_inclusion"],
@@ -86,7 +86,7 @@ def _full_details(suite, rng, cfg):
             "ab_residual": is_ep(a @ b, cfg)[1], "ba_residual": is_ep(b @ a, cfg)[1]
         }
         return {"product_ep": inclusions, "order_agreement": orders}
-    dec = decompose_pair(*fuzz._commuting_pair(rng, DIMS), cfg)
+    dec = decompose_pair(*fuzz._commuting_pair(rng, fuzz._pick_dim(rng, DIMS)), cfg)
     report = block_kernel_inclusions(dec)
     conditions = posinormal_product_conditions(dec)
     return {

@@ -149,6 +149,20 @@ class TestHypoEp:
     def test_shear_first_product(self):
         assert classify(G @ P).hypo_ep is True
 
+    def test_smallest_eigenvalue_is_minus_the_ep_residual_at_any_condition(self):
+        # V_rV_r* - U_rU_r* has eigenvalues 0 and ±sin of the principal angles
+        # between R(m) and R(m*) (Björck-Golub): its smallest is minus the
+        # largest sine, the EP residual, to roundoff at any condition number
+        # and scale, where pinv(m) m - m pinv(m) is off by about eps·cond(m)
+        rng, eps = np.random.default_rng(30), np.finfo(float).eps
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            r = int(rng.integers(1, n + 1))
+            u, v = random_unitary(n, rng), random_unitary(n, rng)
+            s = np.logspace(0, -rng.uniform(0, 13), r) * 10.0 ** rng.uniform(-200, 200)
+            res = classify((u[:, :r] * s) @ v[:, :r].conj().T).residuals
+            assert abs(res["hypo_ep_min_eigenvalue"] + res["ep_equality"]) <= 8 * eps * n
+
     @pytest.mark.parametrize("n", [8, 32, 64, 96])
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_ill_conditioned_matrices_are_decided(self, n, k):
