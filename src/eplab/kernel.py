@@ -7,7 +7,8 @@ of unit-scaled factors is decided against its unit scale in place of
 ``sigma_max``.  This module makes no SVD: the singular values come from a
 matrix's one factorization (:class:`eplab.subspaces.Factorization`), whose
 :class:`RankDecision` is threaded through its range/kernel/pseudoinverse,
-which keeps all of them consistent.
+which keeps all of them consistent.  Every PSD flag is one Cholesky
+factorization (:func:`psd_check`); eplab computes no eigenvalue.
 """
 
 import numpy as np
@@ -97,31 +98,12 @@ def _psd_form(h, cfg, formed):
     return herm, bound
 
 
-def psd_spectrum(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
-    """``(flag, smallest eigenvalue)`` of the Hermitian part herm = (h + h*)/2
-    of ``h``, where flag is True iff that eigenvalue is at least
-    ``-psd_tol * (1 + ||herm||)``.
-
-    One eigvalsh, for a report that shows the eigenvalue; a flag alone is
-    :func:`psd_check`.  ``h`` must be Hermitian to within that bound in
-    Frobenius norm; anything farther from Hermitian is an input error
-    rather than a silent False.  For such an ``h``, ||herm|| is below
-    ||h|| by at most ||h - h*||^2 / (8 ||herm||).  The empty matrix gives
-    ``(True, 0.0)``.
-    """
-    herm, bound = _psd_form(h, cfg, _formed)
-    if herm.size == 0:
-        return True, 0.0
-    smallest = float(np.linalg.eigvalsh(herm)[0])
-    return within(-smallest, bound, "smallest eigenvalue"), smallest
-
-
 def psd_check(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
-    """True iff ``h`` is positive semidefinite within tolerance: the flag of
-    :func:`psd_spectrum`, with the same Hermitian part, bound and
-    Hermitian-defect error, decided by one Cholesky factorization of the
-    Hermitian part plus ``bound * I``, which exists exactly when the
-    smallest eigenvalue is above ``-bound``."""
+    """True iff ``h`` is PSD within tolerance: iff herm = (h + h*)/2 has no
+    eigenvalue below ``-psd_tol * (1 + ||herm||)``, by one Cholesky of herm
+    plus that bound times I.  An ``h`` farther than that bound from Hermitian
+    (Frobenius norm) is an input error, not a silent False; for a nearer one
+    ||herm|| >= ||h|| - ||h - h*||^2 / (8 ||herm||).  The empty matrix is PSD."""
     herm, bound = _psd_form(h, cfg, _formed)
     herm.flat[:: len(herm) + 1] += bound  # herm + bound * I, in place
     try:

@@ -4,6 +4,8 @@ Each predicate is decided two independent ways where possible (subspace
 route vs projector route); disagreements beyond tolerance are surfaced in
 ``ClassificationReport.conflicts`` instead of being silently resolved.
 Quasiposinormal is posinormal in C^n and reads the posinormal residual.
+Each PSD flag (hyponormal, hypo-EP) is one Cholesky (``kernel.psd_check``);
+the reported smallest eigenvalue of m⁺m − mm⁺ is minus the EP residual.
 Residuals are normalized by powers of the spectral norm, so classify(c*M)
 agrees with classify(M) for any nonzero scalar c.
 """
@@ -11,7 +13,7 @@ agrees with classify(M) for any nonzero scalar c.
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, within, within_each
-from .kernel import RankDecision, psd_check, psd_spectrum, require_square
+from .kernel import RankDecision, psd_check, require_square
 from .subspaces import _factor, _sigma1
 
 
@@ -41,7 +43,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     commutator = mn @ mh - mh @ mn
     hyponormal = psd_check(-commutator, cfg, _formed=True)  # m*m - m m* >= 0
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep, min_eig = psd_spectrum(f.projector_commutator, cfg, _formed=True)
+    hypo_ep = psd_check(f.projector_commutator, cfg, _formed=True)  # m⁺m - mm⁺ >= 0
 
     residuals = {
         "commutator": float(np.linalg.norm(commutator)),
@@ -56,7 +58,7 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         "ep_r_equality": _sigma1(f._block("range").T @ f._block("kernel")),
     }
     gate = within_each(residuals, cfg.subspace_tol)
-    residuals["hypo_ep_min_eigenvalue"] = min_eig  # gated by psd_tol above
+    min_eig = residuals["hypo_ep_min_eigenvalue"] = 0.0 - r_pos  # not -r_pos: no -0.0
     posinormal, ep = gate["posinormal_inclusion"], gate["ep_equality"]
     ep_proj = gate["projector_commutator"]
 

@@ -90,8 +90,8 @@ def _spanned(basis, complement):
 
 
 class Factorization(Record, eq=False):
-    """The matrix ``m``, its full SVD ``m = u diag(s) vh`` and its rank
-    decision.
+    """The matrix ``m`` (None for a pair's product, which is never formed),
+    its full SVD ``m = u diag(s) vh`` and its rank decision.
 
     The first ``rank`` columns of ``u`` span the range R(m), the rest the
     cokernel N(m*); the first ``rank`` rows of ``vh`` span the corange
@@ -211,8 +211,9 @@ def numerical_rank(m, cfg=DEFAULT_TOLERANCES):
 
 
 def _factor_product(fa, fb, cfg):
-    """The :class:`Factorization` of ``fa.unit @ fb.unit``, decided against
-    1, from the operands' own factors and one SVD of the r_a×r_b core.
+    """The :class:`Factorization` of ``fa.unit @ fb.unit``, never formed (its
+    ``m`` is None), decided against 1 from the operands' own factors and one
+    SVD of the r_a×r_b core.
 
     With A = Ua_r Sa Va_r* and B = Ub_r Sb Vb_r* (unit-scaled, truncated at
     their ranks) the product is Ua_r C Vb_r* for C = Sa (Va_r* Ub_r) Sb.  If
@@ -229,18 +230,17 @@ def _factor_product(fa, fb, cfg):
         np.matmul(fa.u[:, :ra], p, out=u[:, :ra])
         np.matmul(qh, fb.vh[:rb], out=vh[:rb])
         s[: s_core.size] = s_core
-    m = fa.unit @ fb.unit
-    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, 1.0))
+    return Factorization(None, u, s, vh, decide_rank(s, (len(u), len(vh)), cfg, 1.0))
 
 
 class FactoredPair(Record, eq=False):
     """A validated square pair (A, B) under one tolerance config, with
     read-only copies of the operands.  The factorizations ``fa``, ``fb`` and
     ``fab``, and each fact or report built from them, are made on first use
-    and kept.  ``fab`` factors the product of the unit-scaled
-    operands (AB up to a positive scalar, so every range, kernel and EP fact
-    of AB) from ``fa`` and ``fb`` and the SVD of their r_a×r_b core, and
-    decides its rank against 1, the unit scale of the product.
+    and kept.  ``fab`` factors the product of the unit-scaled operands (AB
+    up to a positive scalar, so every range, kernel and EP fact of AB),
+    never forming it (``fab.m`` is None), from ``fa`` and ``fb`` and the SVD
+    of their r_a×r_b core, and decides its rank against 1, its unit scale.
     """
 
     a: np.ndarray

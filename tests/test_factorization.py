@@ -102,7 +102,8 @@ def _of_rank(rng, n, r):
 def _product_defects(a, b):
     """How far the pair's product factorization is from factor() of the
     product at unit scale: rank difference, range and kernel equality
-    residuals, unitarity of u and vh, and reconstruction of m."""
+    residuals, unitarity of u and vh, and reconstruction of the product,
+    which the pair's factorization never forms: ``ref.m``."""
     pair = subspaces.factor_pair(a, b)
     fab = pair.fab
     ref = factor(pair.fa.unit @ pair.fb.unit, pair.cfg, 1.0)
@@ -113,7 +114,7 @@ def _product_defects(a, b):
         equality_residual(fab.kernel, ref.kernel),
         np.linalg.norm(fab.u.conj().T @ fab.u - np.eye(n)),
         np.linalg.norm(fab.vh @ fab.vh.conj().T - np.eye(n)),
-        np.linalg.norm((fab.u[:, :r] * fab.s[:r]) @ fab.vh[:r] - fab.m),
+        np.linalg.norm((fab.u[:, :r] * fab.s[:r]) @ fab.vh[:r] - ref.m),
     )
 
 
@@ -470,13 +471,13 @@ def test_every_svd_of_the_block_checks(svd_calls):
 # every SVD (all, full) and eigvalsh of the first 20 trials of each suite
 # (seed 20260810, dims 2..8, the regime of a fuzz_small benchmark op); an
 # edit may only lower a count.  commuting_ep reads AB's EP flag from one
-# factorization, with no classify battery (its commutator, Cholesky,
-# eigensolve and EP_r residuals); a check decides from the residuals it
+# factorization, with no classify battery (its commutator, two Choleskys
+# and EP_r residuals); a check decides from the residuals it
 # reads, so hartwig_katz makes no Djordjevic identity, block_kernels no
 # Z coposinormal and commuting_ep no AB coposinormal unless a check fails
 FUZZ_COUNTS = {
     "block_kernels": (96, 73, 0),
-    "collapse": (51, 20, 20),
+    "collapse": (51, 20, 0),
     "commuting_ep": (85, 40, 0),
     "commuting_posinormal": (49, 20, 0),
     "group_invertible": (55, 38, 0),
@@ -500,13 +501,13 @@ def test_fuzz_counts_cover_every_suite():
     assert sorted(FUZZ_COUNTS) == sorted(SUITES)
 
 
-# exact eigvalsh counts: classify makes one eigensolve, for the hypo-EP
-# eigenvalue it reports, a nonempty zero matrix included, and decides
-# hyponormal by a Cholesky; Johnson-Vinoth's AB hypo-EP flag is a Cholesky
-# too; power_ep, the product facts, the block checks and the truncation
-# sweep read range inclusions from factorizations.
+# exact eigvalsh counts: none.  classify decides hyponormal and hypo-EP by a
+# Cholesky each and reports the hypo-EP eigenvalue as minus the EP residual;
+# Johnson-Vinoth's AB hypo-EP flag is a Cholesky too; power_ep, the product
+# facts, the block checks and the truncation sweep read range inclusions
+# from factorizations.
 EIGVALSH_COUNTS = {
-    "classify": 1,
+    "classify": 0,
     "hartwig_katz": 0,
     "johnson_vinoth_check": 0,
     "power_ep": 0,

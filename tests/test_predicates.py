@@ -6,6 +6,7 @@ from eplab import (
     ToleranceConfig,
     classify,
     equals,
+    factor,
     johnson_vinoth_check,
     kernel_basis,
     random_ep,
@@ -153,15 +154,21 @@ class TestHypoEp:
         # V_rV_r* - U_rU_r* has eigenvalues 0 and ±sin of the principal angles
         # between R(m) and R(m*) (Björck-Golub): its smallest is minus the
         # largest sine, the EP residual, to roundoff at any condition number
-        # and scale, where pinv(m) m - m pinv(m) is off by about eps·cond(m)
+        # and scale, where pinv(m) m - m pinv(m) is off by about eps·cond(m);
+        # classify reports it as that, and numpy's eigvalsh of the Hermitian
+        # part is the oracle
         rng, eps = np.random.default_rng(30), np.finfo(float).eps
         for _ in range(400):
             n = int(rng.integers(2, 9))
             r = int(rng.integers(1, n + 1))
             u, v = random_unitary(n, rng), random_unitary(n, rng)
             s = np.logspace(0, -rng.uniform(0, 13), r) * 10.0 ** rng.uniform(-200, 200)
-            res = classify((u[:, :r] * s) @ v[:, :r].conj().T).residuals
+            m = (u[:, :r] * s) @ v[:, :r].conj().T
+            res = classify(m).residuals
             assert abs(res["hypo_ep_min_eigenvalue"] + res["ep_equality"]) <= 8 * eps * n
+            d = factor(m).projector_commutator
+            smallest = np.linalg.eigvalsh(0.5 * (d + d.conj().T))[0]
+            assert abs(smallest - res["hypo_ep_min_eigenvalue"]) <= 8 * eps * n
 
     @pytest.mark.parametrize("n", [8, 32, 64, 96])
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
