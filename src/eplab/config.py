@@ -1,5 +1,5 @@
-"""Tolerance configuration threaded through every numerical decision, the one
-tolerance gate, and :class:`Record`, the frozen base of every eplab record."""
+"""Tolerance configuration threaded through every numerical decision, the
+tolerance gates, and :class:`Record`, the frozen base of every eplab record."""
 
 import math
 
@@ -106,7 +106,7 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def within(residual, bound, name="residual"):
-    """True iff ``residual <= bound``: the one tolerance gate.
+    """True iff ``residual <= bound``: the one tolerance comparison, under :func:`gate`.
 
     A NaN or infinite residual (an overflow, or inf - inf) raises
     InapplicableError naming it, instead of silently passing or failing.
@@ -116,7 +116,8 @@ def within(residual, bound, name="residual"):
     return residual <= bound
 
 
-def within_each(residuals, bound):
-    """``within`` applied to each value of a dict of named residuals: the
-    flags, under the residuals' own keys."""
-    return {key: within(r, bound, key) for key, r in residuals.items()}
+def gate(cfg, **residuals):
+    """The flag of each named residual, in order under its own name: ``within``
+    it against the config's ``subspace_tol``.  The one gate of every subspace
+    decision; a non-finite residual raises naming the key it is passed under."""
+    return {name: within(r, cfg.subspace_tol, name) for name, r in residuals.items()}

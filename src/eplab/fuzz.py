@@ -24,7 +24,7 @@ suites are meant to probe theorems, not floating-point cliffs).
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, gate
 from .errors import InapplicableError, InputError, require_known
 from .generators import (
     _complex_gaussian,
@@ -97,7 +97,7 @@ def _mixed_square(rng, n):
 
 def _t_hartwig_katz(rng, n, cfg):
     a, b = _ep(rng, n), _ep(rng, n)
-    flags = within_each(factor_pair(a, b, cfg).fact(_hartwig_katz), cfg.subspace_tol)
+    flags = gate(cfg, **factor_pair(a, b, cfg).fact(_hartwig_katz))
     holds = flags["ab_ep"] == (flags["cond_i"] and flags["cond_ii"])
     return [("biconditional", holds, lambda: hartwig_katz(a, b, cfg).residuals)]
 
@@ -137,15 +137,14 @@ def _commuting_pair(rng, n):
 
 def _t_commuting_posinormal(rng, n, cfg):
     a, b = _commuting_pair(rng, n)
-    residual = _factor(a @ b, cfg).posinormal_residual
-    holds = within(residual, cfg.subspace_tol, "posinormal_inclusion")
+    holds, residual = is_ep(a @ b, cfg)  # the EP residual is the posinormal one
     return [("product_posinormal", holds, {"residual": residual})]
 
 
 def _t_commuting_ep(rng, n, cfg):
     a, b = _commuting_pair(rng, n)
     fab = _factor(a @ b, cfg)
-    ep = within(fab.ep_residual, cfg.subspace_tol, "ep residual")
+    ep = gate(cfg, ab_residual=fab.ep_residual)["ab_residual"]
     ep_ba, res_ba = is_ep(b @ a, cfg)
 
     def inclusions():
@@ -179,7 +178,7 @@ def _t_block_kernels(rng, n, cfg):
     except InapplicableError as exc:
         return [("applicability", False, {"error": str(exc), **dec.residuals})]
     x_norm, y_norm = (float(np.linalg.norm(m)) for m in (dec.block_x, dec.block_y))
-    tol = cfg.subspace_tol
+    zero = gate(cfg, y_norm=y_norm, x_norm=x_norm)
     return [
         ("kernel_z", report.kernel_z_included, {"residual": report.kernel_z_residual}),
         (
@@ -187,8 +186,8 @@ def _t_block_kernels(rng, n, cfg):
             report.kernel_bprime_included,
             {"residual": report.kernel_bprime_residual},
         ),
-        ("y_zero", within(y_norm, tol, "y_norm"), {"y_norm": y_norm}),
-        ("x_zero", within(x_norm, tol, "x_norm"), {"x_norm": x_norm}),
+        ("y_zero", zero["y_norm"], {"y_norm": y_norm}),
+        ("x_zero", zero["x_norm"], {"x_norm": x_norm}),
     ]
 
 
@@ -205,7 +204,7 @@ def _t_collapse(rng, n, cfg):
     # under subspace_tol, which hypo-EP must agree with unless classify
     # already reports a conflict
     res_proj = res["projector_commutator"]
-    ep_proj = within(res_proj, cfg.subspace_tol, "projector_commutator")
+    ep_proj = gate(cfg, projector_commutator=res_proj)["projector_commutator"]
     routes_agree = report.hypo_ep == ep_proj or bool(conflicts)
     normal_agree = report.hyponormal == report.normal
     # quasiposinormal reads the posinormal residual, so it cannot differ

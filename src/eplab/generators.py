@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, within
+from .config import DEFAULT_TOLERANCES, Record, gate
 from .errors import InputError, require_known
 from .kernel import embed, require_square
 from .subspaces import (
@@ -349,7 +349,7 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
         cos_min_angle=cos,
         bouldin_cos=bouldin_angle(a, b, cfg).cos_min_angle,
         sigma_min_plus=float(fab.s[fab.rank - 1]) if fab.rank else math.nan,
-        ab_ep=within(fab.ep_residual, cfg.subspace_tol, "ep residual"),
+        **gate(cfg, ab_ep=fab.ep_residual),
         residuals=extra_residuals,
     )
 

@@ -12,7 +12,7 @@ agrees with classify(M) for any nonzero scalar c.
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, gate
 from .kernel import RankDecision, psd_check, require_square
 from .subspaces import _factor, _sigma1
 
@@ -57,10 +57,10 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         # EP_r: N(m^T) = conj N(m*) has complement conj R(m), of adjoint u_r^T
         "ep_r_equality": _sigma1(f._block("range").T @ f._block("kernel")),
     }
-    gate = within_each(residuals, cfg.subspace_tol)
+    flags = gate(cfg, **residuals)
     min_eig = residuals["hypo_ep_min_eigenvalue"] = 0.0 - r_pos  # not -r_pos: no -0.0
-    posinormal, ep = gate["posinormal_inclusion"], gate["ep_equality"]
-    ep_proj = gate["projector_commutator"]
+    posinormal, ep = flags["posinormal_inclusion"], flags["ep_equality"]
+    ep_proj = flags["projector_commutator"]
 
     conflicts = []
     if ep != ep_proj:
@@ -76,14 +76,14 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
         )
 
     return ClassificationReport(
-        normal=gate["commutator"],
+        normal=flags["commutator"],
         hyponormal=hyponormal,
-        quasiposinormal=gate["quasiposinormal_inclusion"],
+        quasiposinormal=flags["quasiposinormal_inclusion"],
         posinormal=posinormal,
-        coposinormal=gate["coposinormal_inclusion"],
+        coposinormal=flags["coposinormal_inclusion"],
         ep=ep,
         hypo_ep=hypo_ep,
-        ep_r=gate["ep_r_equality"],
+        ep_r=flags["ep_r_equality"],
         residuals=residuals,
         rank=f.decision,
         tolerances=cfg,
@@ -94,8 +94,8 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
 def is_ep(m, cfg=DEFAULT_TOLERANCES):
     """R(m) = R(m*) from one factorization and at most one cross-matrix SVD.
 
-    Returns ``(flag, residual)``; used by the procedures where the
-    full report would be wasteful.
+    Returns ``(flag, residual)``, gated as ``ep_residual``; used by the
+    procedures where the full report would be wasteful.
     """
     residual = _factor(require_square(m), cfg).ep_residual
-    return within(residual, cfg.subspace_tol, "ep residual"), residual
+    return gate(cfg, ep_residual=residual)["ep_residual"], residual

@@ -10,7 +10,7 @@ chain of them on one pair factors A, B and AB once.
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, within, within_each
+from .config import DEFAULT_TOLERANCES, Record, gate
 from .errors import InapplicableError, InputError
 from .kernel import psd_check, require_square
 from .subspaces import (
@@ -76,9 +76,7 @@ def _range_identity(pair):
         "hypothesis": pair.fact(_cond_i),
         "conclusion": equality_residual(fab.range, intersect(fa.range, fb.range, cfg)),
     }
-    return RangeIdentityReport(
-        **within_each(residuals, cfg.subspace_tol), residuals=residuals
-    )
+    return RangeIdentityReport(**gate(cfg, **residuals), residuals=residuals)
 
 
 def _hartwig_katz(pair):
@@ -108,9 +106,7 @@ def _product_report(pair):
             fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
         ),
     }
-    return ProductReport(
-        **within_each(residuals, cfg.subspace_tol), residuals=residuals
-    )
+    return ProductReport(**gate(cfg, **residuals), residuals=residuals)
 
 
 def hartwig_katz(a, b, cfg=DEFAULT_TOLERANCES):
@@ -149,7 +145,7 @@ def group_invertible_check(a, cfg=DEFAULT_TOLERANCES):
         "range_stable": _inclusion(fa2, "range", fa, "range") if stable else 1.0,
     }
     return GroupInvertibleReport(
-        **within_each(residuals, cfg.subspace_tol),
+        **gate(cfg, **residuals),
         rank_stable=stable,
         residuals={
             **residuals, "rank": float(fa.rank), "rank_squared": float(fa2.rank)
@@ -174,7 +170,7 @@ def _johnson_vinoth(pair):
         "hyp_kernel": _inclusion(fb, "kernel", fa, "kernel"),
     }
     return JohnsonVinothReport(
-        **within_each(residuals, pair.cfg.subspace_tol),
+        **gate(pair.cfg, **residuals),
         ab_hypo_ep=psd_check(pair.fab.projector_commutator, pair.cfg, _formed=True),
         residuals=residuals,
     )
@@ -186,9 +182,9 @@ def johnson_vinoth_check(a, b, cfg=DEFAULT_TOLERANCES):
 
 
 def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
-    """EP flags for a, a^2, ..., a^n, decided power by power; each power of
-    A's unit-scaled form has its rank decided against 1, so a power that
-    vanishes is the zero matrix, which is EP."""
+    """EP flags for a, a^2, ..., a^n, gated as ``ep_power_1`` ... ``ep_power_n``;
+    each power of A's unit-scaled form has its rank decided against 1, so a
+    power that vanishes is the zero matrix, which is EP."""
     f = _factor(require_square(a), cfg)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
@@ -197,4 +193,5 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     for _ in range(int(n) - 1):
         power = power @ f.unit
         residuals.append(_factor(power, cfg, 1.0).ep_residual)
-    return [within(r, cfg.subspace_tol, "ep residual") for r in residuals]
+    powers = gate(cfg, **{f"ep_power_{k}": r for k, r in enumerate(residuals, 1)})
+    return list(powers.values())

@@ -8,13 +8,14 @@ N(A)^perp = R(A*), K spans N(A).  A and B are compressed to
 with A' = Q*AQ, B' = Q*BQ, X = Q*BK, Y = K*BQ, Z = K*BK.  A and B are
 taken unit-scaled, A/‖A‖₂ and B/‖B‖₂, so every block and residual is of
 order 1 whatever the pair's scale: roundoff in them is of order eps
-(Higham §3.5), and each gate is ``subspace_tol`` itself.  Decomposition
-never fails on "bad" inputs; residuals let callers decide applicability.
+(Higham §3.5), and each decision is ``config.gate`` of its residual, with
+no rescaled bound.  Decomposition never fails on "bad" inputs; residuals
+let callers decide applicability.
 """
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, _lazy, within
+from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, _lazy, gate
 from .errors import InapplicableError
 from .subspaces import _factor, factor_pair
 
@@ -130,26 +131,25 @@ def block_kernel_inclusions(dec):
 
     Raises InapplicableError when the recorded commutation or reducing
     residual shows the pair was not actually commuting / reducing, or is
-    not finite.  Each bound is the decomposition's ``subspace_tol``: the
+    not finite.  Each residual is gated (``config.gate``) under the
+    decomposition's config and the key it is reported under, as it is: the
     residuals are those of the unit-scaled operands.  Past the gate, B maps
     R(A) = N(A)^perp into itself, so Y = 0 in C^n and N(Y), N(Y*) drop out.
     In C^n N(M) ⊆ N(M*) is R(M) ⊆ R(M*), and it is N(M) = N(M*), M being
     EP: the equality versions hold whenever the inclusions do, so they are
     reported for every pair that passes the gates, with no further test.
     """
-    tol = dec.cfg.subspace_tol
-    if not within(dec.residuals["commutation"], tol, "commutation"):
+    res = dec.residuals
+    applies = gate(dec.cfg, commutation=res["commutation"], reducing=res["reducing"])
+    if not applies["commutation"]:
+        raise InapplicableError(f"operands do not commute (residual {res['commutation']:.3e})")
+    if not applies["reducing"]:
         raise InapplicableError(
-            f"operands do not commute (residual {dec.residuals['commutation']:.3e})"
-        )
-    if not within(dec.residuals["reducing"], tol, "reducing"):
-        raise InapplicableError(
-            f"kernel does not reduce the first operand "
-            f"(residual {dec.residuals['reducing']:.3e})"
+            f"kernel does not reduce the first operand (residual {res['reducing']:.3e})"
         )
 
     r_z, r_bp = (f.posinormal_residual for f in (dec.fz, dec.fbp))
-    z, bp = within(r_z, tol, "kernel_z"), within(r_bp, tol, "kernel_bprime")
+    z, bp = gate(dec.cfg, kernel_z_residual=r_z, kernel_bprime_residual=r_bp).values()
     return InclusionReport(
         kernel_z_included=z,
         kernel_z_residual=r_z,
@@ -164,12 +164,11 @@ def block_kernel_inclusions(dec):
 
 def posinormal_product_conditions(dec):
     y_norm = float(np.linalg.norm(dec.block_y))
-    # an empty block's residuals are 0
-    tol = dec.cfg.subspace_tol
-    return PosinormalProductConditions(
-        b_prime_posinormal=within(dec.fbp.posinormal_residual, tol, "block inclusion"),
-        z_coposinormal=within(dec.fz.coposinormal_residual, tol, "block inclusion"),
-        y_zero=within(y_norm, tol, "y_norm"),
+    flags = gate(  # an empty block's residuals are 0
+        dec.cfg,
+        b_prime_posinormal=dec.fbp.posinormal_residual,
+        z_coposinormal=dec.fz.coposinormal_residual,
         y_norm=y_norm,
     )
+    return PosinormalProductConditions(*flags.values(), y_norm)
 

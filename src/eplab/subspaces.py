@@ -22,10 +22,9 @@ import math
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, Record, ToleranceConfig, _lazy, _store, within,
-)
-from .errors import DimensionMismatchError, InputError, TrivialSubspaceError
+from .config import DEFAULT_TOLERANCES, ORTHONORMALITY_TOL, Record, ToleranceConfig, _lazy
+from .config import _store, gate, within
+from .errors import DimensionMismatchError, InapplicableError, InputError, TrivialSubspaceError
 from .kernel import (
     RankDecision, as_matrix, decide_rank, rank_threshold, require_pair,
 )
@@ -158,6 +157,8 @@ class Factorization(Record, eq=False):
     def unit(self):
         """``m`` divided by its largest singular value (a zero matrix as is),
         so that products and powers of it neither overflow nor underflow."""
+        if self.m is None:
+            raise InapplicableError("a pair's product is never formed: it has no unit form")
         return self.m / self.s[0] if self.s.size and self.s[0] else self.m
 
     @_lazy
@@ -304,7 +305,7 @@ class AngleReport(Record):
 
 def projector(s, cfg=DEFAULT_TOLERANCES):
     """Orthogonal projector onto ``s`` as a dense matrix (Q Q*)."""
-    if not within(_gram_defect(s.basis), cfg.subspace_tol, "Gram defect"):
+    if not gate(cfg, gram_defect=_gram_defect(s.basis))["gram_defect"]:
         raise InputError("subspace basis is not orthonormal within tolerance")
     return s.basis @ s.basis.conj().T
 
@@ -357,7 +358,7 @@ def inclusion_residual(s1, s2):
 
 def includes(s1, s2, cfg=DEFAULT_TOLERANCES):
     """True iff s1 is contained in s2 within ``subspace_tol``."""
-    return within(inclusion_residual(s1, s2), cfg.subspace_tol, "inclusion residual")
+    return gate(cfg, inclusion_residual=inclusion_residual(s1, s2))["inclusion_residual"]
 
 
 def equality_residual(s1, s2):
@@ -370,7 +371,7 @@ def equality_residual(s1, s2):
 
 
 def equals(s1, s2, cfg=DEFAULT_TOLERANCES):
-    return within(equality_residual(s1, s2), cfg.subspace_tol, "equality residual")
+    return gate(cfg, equality_residual=equality_residual(s1, s2))["equality_residual"]
 
 
 def _orth(s):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eplab  # noqa: F401  (defines every record class)
-from eplab.config import Record, ToleranceConfig, within
+from eplab.config import DEFAULT_TOLERANCES, Record, ToleranceConfig, gate, within
 from eplab.errors import InapplicableError, InputError
 from eplab.fuzz import SUITES, Violation, run_suite
 from eplab.generators import random_commuting_ep_pair, sweep
@@ -45,6 +45,27 @@ class TestWithin:
     )
     def test_finite_residual_compares_like_le(self, residual, bound):
         assert within(residual, bound) is (residual <= bound)
+
+    @pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf])
+    def test_gate_raises_naming_the_non_finite_key(self, residual):
+        with pytest.raises(InapplicableError, match="^kernel_z_residual is not finite"):
+            gate(DEFAULT_TOLERANCES, commutation=0.0, kernel_z_residual=residual, ya=1.0)
+
+    # the edge values above with a bound a ToleranceConfig accepts
+    @pytest.mark.parametrize(
+        "residual",
+        [0.0, -0.0, 1e-8, math.nextafter(1e-8, 0.0), math.nextafter(1e-8, 1.0), 5e-324, 2.0],
+    )
+    @pytest.mark.parametrize("tol", [1e-8, math.nextafter(1e-8, 0.0), 5e-324])
+    def test_gate_flag_compares_like_le_against_subspace_tol(self, residual, tol):
+        flags = gate(ToleranceConfig(subspace_tol=tol), r=residual)
+        assert flags == {"r": residual <= tol} and flags["r"] is (residual <= tol)
+
+    def test_gate_keeps_the_keyword_order(self):
+        names = ("z", "a", "y_norm", "b_prime_posinormal", "m")
+        flags = gate(DEFAULT_TOLERANCES, **{name: 1.0 for name in names})
+        assert tuple(flags) == names and set(flags.values()) == {False}
+        assert gate(DEFAULT_TOLERANCES) == {}
 
 
 class TestToleranceConfig:

@@ -144,6 +144,15 @@ class TestProductFactorization:
             assert full_svds == [(5, 5), (5, 5)]  # A and 0, no core
             assert fab.rank == 0
 
+    @pytest.mark.parametrize("b", [np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))])
+    def test_a_pairs_product_has_no_unit_form(self, b, forget_pair):
+        # fab.m is None, the product never formed: its unit form is an
+        # error naming that, for a nonzero and a zero product alike
+        fab = subspaces.factor_pair(np.eye(3), b).fab
+        assert fab.m is None
+        with pytest.raises(InapplicableError, match="never formed"):
+            fab.unit
+
 
 class TestRankZeroWithoutAnSvd:
     # with a scale, a matrix whose Frobenius norm is at or below the rank

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,22 @@ def test_only_subspaces_calls_the_svd():
     src = Path(eplab.__file__).parent
     callers = [p.name for p in sorted(src.glob("*.py")) if "linalg.svd" in p.read_text()]
     assert callers == ["subspaces.py"]
+
+
+def test_one_subspace_gate():
+    # every subspace decision is config.gate: within_each is gone, and no
+    # module but config passes subspace_tol to within as its bound
+    src = Path(eplab.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert [name for name, text in texts.items() if "within_each" in text] == []
+    bound = re.compile(r"within\([^()]*(\([^()]*\)[^()]*)*subspace_tol")
+    assert [name for name, text in texts.items() if bound.search(text)] == ["config.py"]
+    # nor reads it otherwise, but for intersect's principal-vector threshold
+    # and the CLI's default
+    reads = {name: len(re.findall(r"\.subspace_tol\b", text)) for name, text in texts.items()}
+    assert {name: k for name, k in reads.items() if k} == {
+        "cli.py": 1, "config.py": 1, "subspaces.py": 2
+    }
 
 
 def test_no_locking_lazy_facts_and_no_cond():

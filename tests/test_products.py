@@ -22,7 +22,7 @@ from eplab import (
     range_basis,
 )
 from eplab import subspaces
-from eplab.config import within_each
+from eplab.config import gate
 from eplab.products import _hartwig_katz
 from eplab.subspaces import factor_pair
 
@@ -52,7 +52,7 @@ class TestHartwigKatz:
         ab_ep_seen = set()
         for a, b in _ep_pair_draws():
             facts = factor_pair(a, b).fact(_hartwig_katz)
-            flags = within_each(facts, DEFAULT_TOLERANCES.subspace_tol)
+            flags = gate(DEFAULT_TOLERANCES, **facts)
             subspaces._last_pair = (None, None)
             report = hartwig_katz(a, b)
             assert list(facts) == list(keys)
