@@ -88,8 +88,8 @@ class ToleranceConfig(Record):
     rank_multiplier scales the singular-value cutoff
     ``rank_multiplier * eps * max(rows, cols) * sigma_max``; subspace_tol
     bounds inclusion/equality residuals (sines of principal angles);
-    psd_tol bounds how negative an eigenvalue may be before a Hermitian
-    matrix is declared indefinite.  Each must be finite and positive.
+    psd_tol, times the matrix's scale, bounds how negative an eigenvalue of a
+    Hermitian matrix may be before it is indefinite.  Each is finite and > 0.
     """
 
     rank_multiplier: float = 50.0

@@ -6,9 +6,9 @@ count toward the rank, everything at or below does not.  A product or power
 of unit-scaled factors is decided against its unit scale in place of
 ``sigma_max``.  This module makes no SVD: the singular values come from a
 matrix's one factorization (:class:`eplab.subspaces.Factorization`), whose
-:class:`RankDecision` is threaded through its range/kernel/pseudoinverse,
-which keeps all of them consistent.  Every PSD flag is one Cholesky
-factorization (:func:`psd_check`); eplab computes no eigenvalue.
+:class:`RankDecision` its range, kernel and pseudoinverse share.  Every PSD
+flag is one Cholesky (:func:`_psd`) against ``psd_tol`` times the matrix's
+scale: 1 for eplab's unit-scaled forms, the input's own in :func:`psd_check`.
 """
 
 import numpy as np
@@ -80,34 +80,29 @@ def decide_rank(singular_values, shape, cfg, scale):
     return RankDecision(rank, s, tol)
 
 
-def _psd_form(h, cfg, formed):
-    """The Hermitian part herm = (h + h*)/2 of square ``h``, formed here only,
-    and the PSD bound ``psd_tol * (1 + ||herm||)`` read from it; raises
-    InputError when ``h`` is farther than that bound from Hermitian in
-    Frobenius norm.  What eplab ``formed`` (m*m − mm* of unit-scaled m, or
-    V_rV_r* − U_rU_r*) is square, finite and Hermitian to roundoff: unchecked."""
-    h = h if formed else require_square(h, "psd_check input")
-    h_adj = h.conj().T
-    herm = 0.5 * (h + h_adj)
-    bound = cfg.psd_tol * (1.0 + float(np.linalg.norm(herm)))
-    defect = 0.0 if formed else float(np.linalg.norm(h - h_adj))
-    if not within(defect, bound, "Hermitian defect"):
-        raise InputError(
-            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
-        )
-    return herm, bound
-
-
-def psd_check(h, cfg=DEFAULT_TOLERANCES, *, _formed=False):
-    """True iff ``h`` is PSD within tolerance: iff herm = (h + h*)/2 has no
-    eigenvalue below ``-psd_tol * (1 + ||herm||)``, by one Cholesky of herm
-    plus that bound times I.  An ``h`` farther than that bound from Hermitian
-    (Frobenius norm) is an input error, not a silent False; for a nearer one
-    ||herm|| >= ||h|| - ||h - h*||^2 / (8 ||herm||).  The empty matrix is PSD."""
-    herm, bound = _psd_form(h, cfg, _formed)
+def _psd(h, bound):
+    """True iff (h + h*)/2 has no eigenvalue below ``-bound``: one Cholesky of
+    it plus bound·I.  eplab's own forms (m*m − mm* of unit-scaled m, and
+    V_rV_r* − U_rU_r*) are at scale 1, so their bound is ``psd_tol``."""
+    herm = 0.5 * (h + h.conj().T)
     herm.flat[:: len(herm) + 1] += bound  # herm + bound * I, in place
     try:
         np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def psd_check(h, cfg=DEFAULT_TOLERANCES):
+    """True iff ``h`` is PSD within ``psd_tol`` times its scale, its largest
+    real or imaginary part (from ||h||_2 / (sqrt(2) n) to ||h||_2): :func:`_psd`
+    of h brought to a scale in [1/2, 1) by two exact powers of two, so c·h is
+    decided as h for every c > 0.  An ``h`` farther than that bound from
+    Hermitian (Frobenius norm) is an input error.  Zero and empty are PSD."""
+    h = require_square(h, "psd_check input")
+    scale, e = np.frexp(max(abs(h.real).max(initial=0.0), abs(h.imag).max(initial=0.0)))
+    h, bound = h * 2.0 ** -(e // 2) * 2.0 ** (e // 2 - e), cfg.psd_tol * scale
+    defect = float(np.linalg.norm(h - h.conj().T))
+    if not within(defect, bound, "Hermitian defect"):
+        raise InputError(f"matrix is not Hermitian: defect {defect / scale:.3e} of its scale")
+    return not scale or _psd(h, bound)

@@ -4,16 +4,16 @@ Each predicate is decided two independent ways where possible (subspace
 route vs projector route); disagreements beyond tolerance are surfaced in
 ``ClassificationReport.conflicts`` instead of being silently resolved.
 Quasiposinormal is posinormal in C^n and reads the posinormal residual.
-Each PSD flag (hyponormal, hypo-EP) is one Cholesky (``kernel.psd_check``);
-the reported smallest eigenvalue of m⁺m − mm⁺ is minus the EP residual.
-Residuals are normalized by powers of the spectral norm, so classify(c*M)
-agrees with classify(M) for any nonzero scalar c.
+Each PSD flag (hyponormal, hypo-EP) is one Cholesky (``kernel._psd``) of a
+form at scale 1, against ``psd_tol``; the smallest eigenvalue of m⁺m − mm⁺
+reported is minus the EP residual.  Residuals are normalized by powers of
+the spectral norm, so classify(c*M) agrees with classify(M) for any c ≠ 0.
 """
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, ToleranceConfig, gate
-from .kernel import RankDecision, psd_check, require_square
+from .kernel import RankDecision, _psd, require_square
 from .subspaces import _factor, _sigma1
 
 
@@ -41,9 +41,9 @@ def classify(m, cfg=DEFAULT_TOLERANCES):
     f = _factor(require_square(m), cfg)
     mn, mh = f.unit, f.unit.conj().T
     commutator = mn @ mh - mh @ mn
-    hyponormal = psd_check(-commutator, cfg, _formed=True)  # m*m - m m* >= 0
+    hyponormal = _psd(-commutator, cfg.psd_tol)  # m*m - m m* >= 0
     r_pos, r_copos = f.posinormal_residual, f.coposinormal_residual
-    hypo_ep = psd_check(f.projector_commutator, cfg, _formed=True)  # m⁺m - mm⁺ >= 0
+    hypo_ep = _psd(f.projector_commutator, cfg.psd_tol)  # m⁺m - mm⁺ >= 0
 
     residuals = {
         "commutator": float(np.linalg.norm(commutator)),

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, gate
 from .errors import InapplicableError, InputError
-from .kernel import psd_check, require_square
+from .kernel import _psd, require_square
 from .subspaces import (
     _factor,
     _inclusion,
@@ -171,7 +171,7 @@ def _johnson_vinoth(pair):
     }
     return JohnsonVinothReport(
         **gate(pair.cfg, **residuals),
-        ab_hypo_ep=psd_check(pair.fab.projector_commutator, pair.cfg, _formed=True),
+        ab_hypo_ep=_psd(pair.fab.projector_commutator, pair.cfg.psd_tol),
         residuals=residuals,
     )
 

@@ -159,7 +159,10 @@ class Factorization(Record, eq=False):
         so that products and powers of it neither overflow nor underflow."""
         if self.m is None:
             raise InapplicableError("a pair's product is never formed: it has no unit form")
-        return self.m / self.s[0] if self.s.size and self.s[0] else self.m
+        m, s1 = self.m, self.s[0] if self.s.size else 0.0
+        if 0.0 < s1 < 2.0**-1022:  # numpy divides m by s1 through 1/s1, which overflows
+            m, s1 = m * 2.0**1022, s1 * 2.0**1022  # so scale both up, exactly
+        return m / s1 if s1 else m
 
     @_lazy
     def pinv(self):
@@ -190,6 +193,8 @@ def _factor(m, cfg, scale=None):
     """:func:`factor` of a finite 2-D complex128 ``m`` eplab formed or checked."""
     if scale is None or np.linalg.norm(m) > rank_threshold(scale, m.shape, cfg):
         u, s, vh = np.linalg.svd(m, full_matrices=True)
+        if s.size and not math.isfinite(s[0]):
+            raise InapplicableError(f"largest singular value is not finite ({s[0]})")
     else:
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))

@@ -98,6 +98,16 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert err == "eplab: inapplicable: ep residual is not finite (nan)\n"
 
+    def test_a_largest_singular_value_beyond_the_double_range_exits_2(
+        self, tmp_path, capsys
+    ):
+        # finite entries whose sigma_1 = 2**1024 overflows: no report of rank 0
+        path = tmp_path / "huge.cmat"
+        write_matrix(path, 2.0**1023 * np.ones((2, 2)))
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "eplab: inapplicable: largest singular value is not finite (inf)\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "classify", str(tmp_path / "absent.cmat"))
         assert code == 2

@@ -10,7 +10,7 @@ from eplab import (
     psd_check, random_unitary,
 )
 from eplab.fuzz import _mixed_square
-from eplab.kernel import _psd_form, as_matrix, rank_threshold
+from eplab.kernel import _psd, as_matrix, rank_threshold
 
 I2 = np.eye(2, dtype=complex)
 DIAG10 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -161,33 +161,66 @@ class TestPsdCheck:
         assert psd_check(h) is True
         assert psd_check(np.diag([1.0, -1e-6])) is False
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known: the bound psd_tol * (1 + ||h||) is absolute for small h "
-        "(the FOUND line on psd_check's bound in CHANGES.md)",
-    )
     def test_indefinite_diagonal_is_indefinite_at_any_scale(self):
-        # PSD-ness is scale-free, but -1e-12 is inside the absolute bound 1e-10
+        # PSD-ness is scale-free: -1e-12 is far outside 1e-12 times psd_tol
         assert not psd_check(1e-12 * np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("kind", ["indefinite", "psd"])
+    def test_every_power_of_two_scaling_is_decided_alike(self, kind):
+        # 2**k h is stored exactly across the double range, so it is the same
+        # PSD question; at k = 1000 ||herm||_F overflows, and at k = -1000 an
+        # absolute bound would swallow the negative eigenvalue
+        u = random_unitary(3, np.random.default_rng(17))
+        lam = [-0.5, 1.0, 2.0] if kind == "indefinite" else [0.0, 1.0, 2.0]
+        h = (u * lam) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)
+        flags = {k: psd_check(2.0**k * h) for k in (-1000, -40, 0, 40, 1000)}
+        assert set(flags.values()) == {kind == "psd"}
+
+    @pytest.mark.parametrize("k", [-1074, -1050, -1000, 0, 1000, 1023])
+    def test_singular_and_indefinite_are_told_apart_at_the_range_edges(self, k):
+        # a singular PSD h needs its bound: psd_tol * 2**k underflows to 0 at
+        # k = -1050, and h + h* overflows at k = 1023, unless h is rescaled
+        psd, indefinite = np.array([[1, 1j], [-1j, 1]]), np.array([[0.5, 1j], [-1j, 0.5]])
+        assert psd_check(2.0**k * psd) is True
+        assert psd_check(2.0**k * indefinite) is False
+
+    def test_a_tiny_skew_matrix_is_not_hermitian(self):
+        # its defect, 2.8e-12, is below psd_tol but not below psd_tol times
+        # its scale 1e-12: it is an input error at every scale
+        with pytest.raises(InputError, match="not Hermitian"):
+            psd_check(1e-12 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_empty(self):
         assert psd_check(np.zeros((0, 0))) is True
 
-    @pytest.mark.parametrize("n", [*range(1, 9), 96])
+    @pytest.mark.parametrize("n", [*range(2, 9), 96])
     def test_flag_is_the_spectrum_flag_either_side_of_the_bound(self, n):
-        # smallest eigenvalue -c * bound, bound = psd_tol * (1 + ||h||): the
-        # flag is True for c < 1 and False for c > 1, by the Cholesky and by
-        # numpy's eigvalsh, the oracle
+        # smallest eigenvalue -c * bound, bound = psd_tol * scale for scale the
+        # largest real or imaginary part of h: the flag is True for c < 1 and
+        # False for c > 1, by the Cholesky and by numpy's eigvalsh, the oracle
         rng = np.random.default_rng(400 + n)
         u = random_unitary(n, rng)
         for c in (*rng.uniform(0.1, 0.9, 6), *rng.uniform(1.1, 10.0, 6)):
             lam = np.concatenate([[0.0], rng.uniform(0.0, 3.0, n - 1)])
-            lam[0] = -c * DEFAULT_TOLERANCES.psd_tol * (1.0 + np.linalg.norm(lam))
+            h = (u * lam) @ u.conj().T
+            lam[0] = -c * DEFAULT_TOLERANCES.psd_tol * _scale(h)
             h = (u * lam) @ u.conj().T
             h = 0.5 * (h + h.conj().T)
-            bound = DEFAULT_TOLERANCES.psd_tol * (1.0 + np.linalg.norm(h))
+            bound = DEFAULT_TOLERANCES.psd_tol * _scale(h)
             smallest = np.linalg.eigvalsh(h)[0]
             assert psd_check(h) is bool(-smallest <= bound) is bool(c < 1.0)
+
+    @pytest.mark.parametrize("k", [-1074, -1000, -40, 0, 40, 1000, 1023])
+    def test_a_one_by_one_matrix_is_psd_iff_its_entry_is_nonnegative(self, k):
+        # a 1x1 h has no eigenvalue strictly inside psd_tol times its scale
+        for x in (2.0**k, -(2.0**k), 0.0):
+            assert psd_check([[x]]) is (x >= 0.0)
+
+
+def _scale(h):
+    """The largest real or imaginary part of an entry of ``h``."""
+    return max(np.abs(h.real).max(), np.abs(h.imag).max())
 
 
 class TestAsMatrix:
@@ -200,29 +233,20 @@ class TestAsMatrix:
         assert numerical_rank(np.zeros((0, 4))).threshold == 0.0
 
 
-def test_formed_psd_forms_are_the_checked_ones_byte_for_byte():
-    # classify's and Johnson-Vinoth's commutators skip the input checks: they
-    # are square, finite and Hermitian up to roundoff, so the checks cannot
-    # fail.  Their Hermitian parts, with the bounds and decisions read from
-    # them, are the symmetrized matrices eplab passed before _psd_form formed
-    # them; -c's differs only in the sign of a zero (-(x - x) is -0.0, but
-    # -x + x is +0.0), which adding +0.0 clears
+def test_unit_scale_forms_decide_psd_as_their_spectrum():
+    # classify's commutator m*m - mm* of unit-scaled m and the projector
+    # commutator V_rV_r* - U_rU_r* are at scale 1: _psd with the bound psd_tol
+    # is the flag of their Hermitian part's smallest eigenvalue (eigvalsh)
     rng = np.random.default_rng(11)
+    tol = DEFAULT_TOLERANCES.psd_tol
     for _ in range(300):
         n = int(rng.integers(0, 9))
         f = factor(_mixed_square(rng, n))
         c = f.unit @ f.unit.conj().T - f.unit.conj().T @ f.unit
-        d = f.projector_commutator
-        for h, old in ((d, 0.5 * (d + d.conj().T)), (-c, -0.5 * (c + c.conj().T))):
-            (herm, bound), (formed, formed_bound) = (
-                _psd_form(h, DEFAULT_TOLERANCES, skip) for skip in (False, True)
-            )
-            assert herm.tobytes() == formed.tobytes() and bound == formed_bound
-            assert (formed + 0.0).tobytes() == (old + 0.0).tobytes()
-            assert formed.tobytes() == old.tobytes() or h is not d
-            assert bound == DEFAULT_TOLERANCES.psd_tol * (1.0 + np.linalg.norm(old))
-            assert psd_check(h) is psd_check(h, _formed=True)
-            assert psd_check(h, _formed=True) is psd_check(old, _formed=True)
+        for h in (-c, f.projector_commutator):
+            herm = 0.5 * (h + h.conj().T)
+            smallest = np.linalg.eigvalsh(herm)[0] if n else 0.0
+            assert _psd(h, tol) is bool(smallest >= -tol)
 
 
 def test_only_subspaces_calls_the_svd():

@@ -3,15 +3,20 @@ import pytest
 
 from eplab import (
     DEFAULT_TOLERANCES,
+    EplabError,
     InapplicableError,
     InputError,
+    catalog,
+    catalog_names,
     classify,
+    decompose_pair,
     djordjevic_check,
     group_invertible_check,
     hartwig_katz,
     intersect,
     is_ep,
     johnson_vinoth_check,
+    posinormal_product_conditions,
     power_ep,
     product_range_identity,
     random_commuting_ep_pair,
@@ -362,3 +367,39 @@ class TestScaleSafety:
         assert (report.hypothesis, report.conclusion) == (
             expected.hypothesis, expected.conclusion,
         ) == (True, True)
+
+    @pytest.mark.parametrize("k", [-1040, -1030, -1000, -500, 500, 1000])
+    def test_integer_pairs_are_decided_alike_across_the_double_range(self, k):
+        # 2**k times a pair of integer entries is stored exactly, subnormal
+        # (k = -1040, -1030) or not, so it is the same pair: every flag, and
+        # every error raised, is the unit pair's
+        pairs = [(p.a, p.b) for p in map(catalog, catalog_names())]
+        for a, b in [*pairs, (np.eye(3), np.diag([2.0, 1.0, 0.0]))]:
+            assert _every_flag(2.0**k * a, 2.0**k * b) == _every_flag(a, b)
+
+    def test_a_largest_singular_value_beyond_the_double_range_is_inapplicable(self):
+        # finite entries, but sigma_1 = 2**1024 overflows: no rank 0, no flag
+        m = 2.0**1023 * np.ones((2, 2))
+        for procedure in (classify, group_invertible_check, lambda m: hartwig_katz(m, m)):
+            with pytest.raises(InapplicableError, match="singular value is not finite"):
+                procedure(m)
+
+
+def _every_flag(a, b):
+    """The flags of every report on (a, b), or the name of the error raised."""
+    procedures = (
+        lambda: classify(a), lambda: classify(b), lambda: hartwig_katz(a, b),
+        lambda: johnson_vinoth_check(a, b), lambda: group_invertible_check(a),
+        lambda: power_ep(a, 3),
+        lambda: posinormal_product_conditions(decompose_pair(a, b)),
+    )
+    flags = []
+    for procedure in procedures:
+        try:
+            report = procedure()
+        except EplabError as exc:
+            flags.append(type(exc).__name__)
+            continue
+        values = report if isinstance(report, list) else report._values()
+        flags.append([v for v in values if type(v) is bool])
+    return flags

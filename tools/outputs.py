@@ -60,7 +60,10 @@ def _runs(seeds=("20260810", "7"), trials="300"):
     """classify, product and decompose on the catalog's matrices, their ordered
     pairs and the random pairs; every fuzz suite at each seed, two subspace
     tolerances and --jobs 1 and 2, and three at a fine rank multiplier;
-    truncate for each family."""
+    truncate for each family; then the range edges: classify, product and
+    decompose on each catalog pair scaled by 2**-1040 (subnormal) and 2**1000,
+    and classify on a matrix of finite entries whose largest singular value
+    overflows."""
     files = []
     for name in json.loads(_call(["catalog"])[1])["result"]["names"]:
         emitted = _call(["catalog", name, "--emit", "--out", "."])[1]
@@ -82,6 +85,13 @@ def _runs(seeds=("20260810", "7"), trials="300"):
         yield ["--tol-rank-mult", "1e-3", "fuzz", suite, "--seed", seeds[0],
                "--trials", trials, "--dims", "2:8", "--jobs", jobs]
     yield from (["truncate", family, "--dims", "2:24"] for family in FAMILIES)
+    from eplab import catalog, catalog_names
+
+    for name, k in itertools.product(catalog_names(), (-1040, 1000)):
+        pair, stem = catalog(name), f"{name}_2^{k}"
+        a, b = _write(f"{stem}_a.cmat", 2.0**k * pair.a), _write(f"{stem}_b.cmat", 2.0**k * pair.b)
+        yield from (["classify", a], ["classify", b], ["product", a, b], ["decompose", a, b])
+    yield ["classify", _write("sigma1_overflow.cmat", 2.0**1023 * np.ones((2, 2)))]
 
 
 def _call(argv):
