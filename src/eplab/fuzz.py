@@ -267,8 +267,8 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise InputError("dims must contain positive sizes")
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise InputError(f"trials must be a nonnegative integer, got {trials!r}")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
 

@@ -341,14 +341,16 @@ def weighted_shift_truncation(m):
 
 def _metrics_for_pair(size, a, b, cfg, extra_residuals):
     pair = factor_pair(a, b, cfg)
-    n_a, r_b = pair.fa.kernel, pair.fb.range
+    fa, fb, fab = pair.fa, pair.fb, pair.fab  # fab factors AB / (σ₁(A)·σ₁(B))
+    n_a, r_b = fa.kernel, fb.range
     cos = minimal_angle(n_a, r_b).cos_min_angle if n_a.dim and r_b.dim else math.nan
-    fab = _factor(a @ b, cfg)  # at its own scale: sigma_min_plus is in AB's units
     return TruncationMetrics(
         size=int(size),
         cos_min_angle=cos,
         bouldin_cos=bouldin_angle(a, b, cfg).cos_min_angle,
-        sigma_min_plus=float(fab.s[fab.rank - 1]) if fab.rank else math.nan,
+        sigma_min_plus=(
+            float(fab.s[fab.rank - 1] * fa.s[0] * fb.s[0]) if fab.rank else math.nan
+        ),
         **gate(cfg, ab_ep=fab.ep_residual),
         residuals=extra_residuals,
     )
@@ -358,9 +360,9 @@ def sweep(family, sizes, cfg=DEFAULT_TOLERANCES):
     """Per-size metrics for one truncation family.
 
     Reported per size: cosine of the minimal angle between kernel(a) and
-    range(b), the deflated-kernel (product-closedness) cosine, the smallest
-    above-threshold singular value of the product, and the product's EP
-    flag.  Monotonicity assertions are left to callers.
+    range(b), the deflated-kernel (product-closedness) cosine, and AB's
+    smallest above-threshold singular value (in AB's units) and EP flag,
+    both from the pair's ``fab``.  Monotonicity assertions are left to callers.
     """
     require_known(family, TRUNCATION_FAMILIES, "family")
     sizes = [int(s) for s in sizes]

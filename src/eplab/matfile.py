@@ -82,7 +82,7 @@ def read_matrix(path):
 
 def _format_entry(value):
     re, im = float(value.real), float(value.imag)
-    if im == 0.0:
+    if im == 0.0 and math.copysign(1.0, im) > 0:  # -0.0 keeps its field
         return repr(re)
     return f"{re!r}:{im!r}"
 

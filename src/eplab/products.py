@@ -20,7 +20,6 @@ from .subspaces import (
     factor_pair,
     intersect,
     range_basis,  # not called here; bench/tests read products.range_basis
-    subspace_sum,
 )
 
 
@@ -91,8 +90,9 @@ def _hartwig_katz(pair):
 
 def _product_report(pair):
     """Product facts for the pair: the Hartwig–Katz residuals, the operands'
-    EP residuals and Djordjević's identities, of which ``range_identity`` is
-    the range identity's conclusion."""
+    EP residuals and Djordjević's identities, which both intersect: the range
+    identity's conclusion, and N(AB) = N(A) + N(B) by complements, as
+    R((AB)*) = R(B*) ∩ R(A*) (R((AB)*) ⊆ R(B*) by construction)."""
     fa, fb, fab, cfg = pair.fa, pair.fb, pair.fab, pair.cfg
     theorem = pair.fact(_hartwig_katz)
     residuals = {
@@ -103,7 +103,7 @@ def _product_report(pair):
         "ab_ep": theorem["ab_ep"],
         "range_identity": pair.fact(_range_identity).residuals["conclusion"],
         "kernel_identity": equality_residual(
-            fab.kernel, subspace_sum(fa.kernel, fb.kernel, cfg)
+            fab.corange, intersect(fb.corange, fa.corange, cfg)
         ),
     }
     return ProductReport(**gate(cfg, **residuals), residuals=residuals)
@@ -186,7 +186,7 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     each power of A's unit-scaled form has its rank decided against 1, so a
     power that vanishes is the zero matrix, which is EP."""
     f = _factor(require_square(a), cfg)
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InputError(f"power count must be a positive integer, got {n!r}")
     residuals = [f.ep_residual]
     power = f.unit

@@ -413,33 +413,29 @@ def subspace_sum(s1, s2, cfg=DEFAULT_TOLERANCES):
     return _orth(intersect(_orth(s2), _orth(s1), cfg))
 
 
-def minimal_angle(s1, s2):
-    """Minimal angle between two nontrivial subspaces.
+def _angle(q1, q2, components=None):
+    """Minimal angle of R(q1), R(q2): cos σ₁(q1* q2) in [0, 1], π/2 when either is {0}."""
+    cos = min(1.0, max(0.0, _sigma1(q1.conj().T @ q2)))
+    return AngleReport(cos, math.acos(cos), components)
 
-    The cosine is the largest singular value of Q1* Q2, clamped to [0, 1].
-    """
+
+def minimal_angle(s1, s2):
+    """Minimal angle between two nontrivial subspaces: :func:`_angle` of their bases."""
     _check_same_ambient(s1, s2)
     if s1.dim == 0 or s2.dim == 0:
         raise TrivialSubspaceError("minimal angle requires two nontrivial subspaces")
-    cos = min(1.0, max(0.0, _sigma1(s1.basis.conj().T @ s2.basis)))
-    return AngleReport(cos_min_angle=cos, angle_radians=math.acos(cos))
+    return _angle(s1.basis, s2.basis)
 
 
 def bouldin_angle(s, t, cfg=DEFAULT_TOLERANCES):
-    """Angle controlling closedness of the product range of ``s @ t``.
-
-    Computes V = N(s) ∩ R(t) and W, the complement of V inside N(s), then
-    reports the minimal angle between R(t) and W, reading N(s) and R(t)
-    from the memoized :func:`factor_pair`.  When W or R(t) is the zero space
-    there is no direction along which the product can degenerate, and the
-    report uses the convention cos 0 / angle π/2 instead of erroring.
+    """Angle controlling closedness of the product range of ``s @ t``: the
+    minimal angle between R(t) and W = N(s) ⊖ V, V = N(s) ∩ R(t), read from
+    one :func:`intersect` (W leads its complement) on the memoized
+    :func:`factor_pair`.  When W or R(t) is {0} no direction can degenerate,
+    and the report reads cos 0 / angle π/2 instead of erroring.
     """
     pair = factor_pair(s, t, cfg)
     ns, rt = pair.fa.kernel, pair.fb.range
     v = intersect(ns, rt, cfg)
-    w = intersect(ns, _orth(v), cfg)  # the complement of V inside N(s)
-    components = BouldinComponents(v.dim, w.dim)
-    if w.dim == 0 or rt.dim == 0:
-        return AngleReport(0.0, math.pi / 2.0, components)
-    report = minimal_angle(rt, w)
-    return AngleReport(report.cos_min_angle, report.angle_radians, components)
+    w = v.complement[:, : ns.dim - v.dim]  # N(s) ⊖ V, in intersect's layout
+    return _angle(rt.basis, w, BouldinComponents(v.dim, w.shape[1]))

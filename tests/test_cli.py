@@ -9,7 +9,7 @@ import pytest
 
 import eplab
 from eplab import InapplicableError, InputError, catalog, catalog_names, write_matrix
-from eplab.cli import main, parse_size_list
+from eplab.cli import main, main_entry, parse_size_list
 
 G = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 P = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -37,6 +37,16 @@ def _assert_same_up_to_roundoff(got, expected):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["catalog"], 0), (["fuzz", "not_a_suite", "--trials", "1"], 2)]
+)
+def test_the_console_script_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["eplab", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main_entry()
+    assert exit_.value.code == code
 
 
 class TestParseSizeList:

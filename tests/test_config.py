@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eplab  # noqa: F401  (defines every record class)
-from eplab.config import DEFAULT_TOLERANCES, Record, ToleranceConfig, gate, within
+from eplab.config import DEFAULT_TOLERANCES, Record, ToleranceConfig, _lazy, gate, within
 from eplab.errors import InapplicableError, InputError
 from eplab.fuzz import SUITES, Violation, run_suite
 from eplab.generators import random_commuting_ep_pair, sweep
@@ -15,7 +15,9 @@ from eplab.kernel import RankDecision
 from eplab.predicates import classify
 from eplab.products import hartwig_katz
 from eplab.structure import block_kernel_inclusions, decompose_pair
-from eplab.subspaces import AngleReport, Subspace, factor, factor_pair, intersect, subspace_sum
+from eplab.subspaces import (
+    AngleReport, Factorization, Subspace, factor, factor_pair, intersect, subspace_sum,
+)
 
 
 class TestWithin:
@@ -140,6 +142,12 @@ class TestRecord:
     def test_a_bad_argument_list_raises_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    def test_a_kept_fact_read_on_its_class_is_its_descriptor(self):
+        # help() and the docs read a fact's docstring from the class
+        fact = Factorization.posinormal_residual
+        assert type(fact) is _lazy
+        assert fact.__doc__ == "Residual of R(m) inside R(m*), computed once."
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="no inline values before 3.11")
     def test_kept_facts_are_stored_beside_the_fields_with_no_instance_dict(self):

@@ -249,9 +249,9 @@ def eigvalsh_calls(monkeypatch):
 # block check factors B' and Z, each once per decomposition, and reads B's
 # factorization from the decomposition: on this pair Z is roundoff, rank 0
 # without an SVD, so only B' is factored; per size the sweep factors A, B
-# and AB and the cross matrices of the Bouldin angle's intersection
-# (within subspace_tol here: N(A) lies in R(B))
-# and deflated kernel, both angles reading one N(A) and one R(B).
+# and AB (the pair's fab, through the r_a x r_b core), and the Bouldin
+# angle's one intersection adds none (within subspace_tol here: N(A) lies
+# in R(B)), both angles reading one N(A) and one R(B).
 SVD_COUNTS = {
     "classify": 1,
     "hartwig_katz": 3,
@@ -261,7 +261,7 @@ SVD_COUNTS = {
     "product_range_identity": 3,
     "block_kernel_inclusions": 1,
     "posinormal_product_conditions": 1,
-    "sweep": 12,
+    "sweep": 9,
 }
 
 
@@ -287,9 +287,9 @@ def test_full_svd_count(name, full_svds, forget_pair):
 
 
 # every SVD of one cold call, singular-value-only ones included, as
-# (all, full): the sweep's sigma_min_plus and EP flag read AB's one
-# factorization, with the minimal angle and AB's EP residual (one cross
-# matrix) as the rest; the invariant-range generator factors the span it
+# (all, full): the sweep's sigma_min_plus and EP flag read the pair's fab,
+# AB's one factorization, with the minimal angle and AB's EP residual (one
+# cross matrix) as the rest (the Bouldin angle's W is {0} here); the invariant-range generator factors the span it
 # draws and nothing else, and the range identity of the draw decides A, B
 # and AB's core on its pair, so together they factor each of the four once
 # (here the span is the whole space, and the singular-value-only SVDs are
@@ -297,7 +297,7 @@ def test_full_svd_count(name, full_svds, forget_pair):
 # one dimension).
 def test_every_svd_of_the_sweep(svd_calls):
     sweep("shift_block", [2, 3, 4])
-    assert (len(svd_calls), sum(svd_calls)) == (18, 12)
+    assert (len(svd_calls), sum(svd_calls)) == (15, 9)
 
 
 def test_every_svd_of_the_invariant_range_generator(svd_calls, forget_pair):
@@ -557,7 +557,7 @@ def test_product_command_factors_a_b_and_ab_once_per_procedure(
     full_svds, pair_files, capsys
 ):
     # A, B and AB (3) serve both Hartwig-Katz and Johnson-Vinoth, and
-    # Hartwig-Katz's intersect and subspace_sum cross matrices are within
+    # Hartwig-Katz's two intersect cross matrices are within
     # subspace_tol on this commuting pair, so they add none; Djordjevic
     # gates the Hartwig-Katz report instead of factoring again
     full_svds.clear()
@@ -693,13 +693,13 @@ def post_inits(monkeypatch):
 # edit may only lower a count.  Decisions read the factors' blocks with no
 # view (each of these was 5, 2, 10, 12 and 4 through views); views are
 # built for callers and lattice operations: hartwig_katz's are those of
-# Djordjevic's identities, an intersection and a sum and the spaces they
-# are compared with.
+# Djordjevic's identities, two intersections and the spaces they are
+# compared with.
 VIEW_COUNTS = {
     "classify": 0,
     "is_ep": 0,
     "power_ep": 0,
-    "hartwig_katz": 9,
+    "hartwig_katz": 6,
     "johnson_vinoth_check": 0,
 }
 

@@ -143,7 +143,12 @@ def test_bad_dims():
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"trials": -1}, "^trials must be nonnegative$"), ({"jobs": 0}, "^jobs must be >= 1$")],
+    [
+        ({"trials": -1}, "^trials must be a nonnegative integer, got -1$"),
+        ({"trials": 2.5}, "^trials must be a nonnegative integer, got 2.5$"),
+        ({"trials": True}, "^trials must be a nonnegative integer, got True$"),
+        ({"jobs": 0}, "^jobs must be >= 1$"),
+    ],
 )
 def test_bad_trials_and_jobs(kwargs, message):
     with pytest.raises(InputError, match=message):

@@ -481,6 +481,24 @@ class TestSweep:
         for m in series.metrics:
             assert m.residuals["unitary_defect"] == 1.0
 
+    @pytest.mark.parametrize("family", generators.TRUNCATION_FAMILIES)
+    def test_the_product_columns_read_the_pairs_product_factorization(self, family):
+        # AB's EP flag is hartwig_katz's, and sigma_min_plus is the pair's
+        # fab, which factors AB / (sigma_1(A) sigma_1(B)), back in AB's units
+        sizes = range(2, 14)
+        for size, row in zip(sizes, sweep(family, sizes).metrics):
+            if family == "weighted_shift":
+                a, b = weighted_shift_truncation(size), np.eye(size, dtype=complex)
+            else:
+                pair = {"tilted_projections": tilted_projection_pair,
+                        "shift_block": shift_block_pair}[family](size)
+                a, b = pair.a, pair.b
+            factored = subspaces.factor_pair(a, b)
+            fa, fb, fab = factored.fa, factored.fb, factored.fab
+            assert row.ab_ep == hartwig_katz(a, b).ab_ep
+            expected = fab.s[fab.rank - 1] * fa.s[0] * fb.s[0] if fab.rank else math.nan
+            assert np.float64(row.sigma_min_plus).tobytes() == np.float64(expected).tobytes()
+
     def test_unknown_family(self):
         with pytest.raises(InputError):
             sweep("nope", [1, 2])

@@ -282,3 +282,23 @@ def test_no_locking_lazy_facts_and_no_cond():
     src = Path(eplab.__file__).parent
     for needle in ("cached_property", "linalg.cond", "eigvalsh"):
         assert [p.name for p in sorted(src.glob("*.py")) if needle in p.read_text()] == []
+
+
+def test_pair_facts_read_the_pair_once(monkeypatch):
+    # the sweep factors no product it forms (it reads the pair's fab), the
+    # Bouldin angle makes one intersection and no complement view, and the
+    # kernel identity intersects coranges instead of summing kernels
+    src = Path(eplab.__file__).parent
+    assert re.findall(r"_factor\([^()]*@", (src / "generators.py").read_text()) == []
+    assert "subspace_sum" not in (src / "products.py").read_text()
+    calls = []
+    for name in ("intersect", "_orth", "subspace_sum"):
+        def recording(*args, _name=name, _real=getattr(eplab.subspaces, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(eplab.subspaces, name, recording)
+    a, b = np.diag([1.0, 0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0, 0.0])
+    b[1, 2] = 1.0
+    assert eplab.bouldin_angle(a, b).bouldin_components.dim_deflated_kernel == 1
+    assert calls == ["intersect"]

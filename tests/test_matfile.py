@@ -94,6 +94,13 @@ class TestRoundTrip:
         write_matrix(path, m)
         assert np.array_equal(read_matrix(path), m)
 
+    def test_signed_zeros_round_trip(self):
+        # -0.0 == 0.0, so only the bytes show a lost sign
+        m = np.array([[complex(1.0, -0.0), complex(-0.0, 0.0)], [complex(-0.0, -0.0), 0.0]])
+        text = format_matrix(m)
+        assert text == "cmat 1 2 2\n1.0:-0.0 -0.0\n-0.0:-0.0 0.0\n"
+        assert parse_matrix(text).tobytes() == m.tobytes()
+
     def test_real_entries_have_no_imag_field(self):
         text = format_matrix(np.array([[2.0, -3.5]]))
         assert text == "cmat 1 1 2\n2.0 -3.5\n"

@@ -189,7 +189,7 @@ class TestHypoEp:
 @pytest.mark.xfail(
     strict=True,
     reason="known: below sigma_r/sigma_1 ~ 1e-8 roundoff tilts the singular "
-    "subspaces past subspace_tol (ROADMAP.md, open item 2)",
+    "subspaces past subspace_tol (ROADMAP.md, open item 3)",
 )
 def test_an_ep_matrix_finer_than_the_subspace_gate_is_not_silently_non_ep():
     # M is exactly Hermitian, so EP, of rank 2; today its EP residual is

@@ -249,6 +249,36 @@ class TestDjordjevic:
         assert wrong == []
         assert ab_ep_seen == {True, False}
 
+    def test_the_kernel_identity_by_coranges_is_the_sum_route(self):
+        # N(AB) = N(A) + N(B) is decided by complements, R((AB)*) = R(B*) ∩
+        # R(A*); the sum of the kernels is the reference, within 8 eps n
+        rng = np.random.default_rng(34_000)
+
+        def low_rank(n):
+            k = int(rng.integers(0, n + 1))
+            g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return g(n, k) @ g(k, n)
+
+        drawn = [(n, int(rng.integers(0, n + 1))) for n in range(2, 9) for _ in range(8)]
+        pairs = [
+            *_ep_pair_draws(),
+            *(random_commuting_ep_pair(n, max(r, 1), seed=rng) for n, r in drawn),
+            *(random_same_kernel_pair(n, r, seed=rng) for n, r in drawn),
+            *((low_rank(n), low_rank(n)) for n, _ in drawn),
+        ]
+        flags = set()
+        for a, b in pairs:
+            pair = factor_pair(a, b)
+            sum_route = subspaces.equality_residual(
+                pair.fab.kernel, subspaces.subspace_sum(pair.fa.kernel, pair.fb.kernel)
+            )
+            report = hartwig_katz(a, b)
+            eps_n = 8 * np.finfo(float).eps * len(a)
+            assert abs(report.residuals["kernel_identity"] - sum_route) <= eps_n
+            assert report.kernel_identity == gate(DEFAULT_TOLERANCES, r=sum_route)["r"]
+            flags.add(report.kernel_identity)
+        assert flags == {True, False}
+
     def test_identity_with_random_ep(self):
         b = random_ep(5, 3, seed=3)
         report = djordjevic_check(np.eye(5), b)
@@ -297,6 +327,12 @@ class TestPowers:
     def test_rejects_bad_power(self):
         with pytest.raises(InputError):
             power_ep(np.eye(2), 0)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0])
+    def test_rejects_a_count_that_is_not_an_integer(self, n):
+        # a bool is an int to isinstance, so True read as the power count 1
+        with pytest.raises(InputError, match="power count must be a positive integer"):
+            power_ep(np.eye(2), n)
 
 
 class TestReverseOrder:
@@ -376,6 +412,19 @@ class TestScaleSafety:
         pairs = [(p.a, p.b) for p in map(catalog, catalog_names())]
         for a, b in [*pairs, (np.eye(3), np.diag([2.0, 1.0, 0.0]))]:
             assert _every_flag(2.0**k * a, 2.0**k * b) == _every_flag(a, b)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known: _factor_product scales the core by fa.s / fa.s[0], which "
+        "holds only a subnormal's bits at sigma_1 < 2**-1022 (CHANGES.md, the "
+        "FOUND line on subspaces._factor_product)",
+    )
+    def test_a_subnormal_pair_keeps_its_unit_scale_residuals(self):
+        # 2**-1040 times the pair is stored exactly; at unit scale cond_i and
+        # ab_ep read 2.7e-17, here 2.9e-13
+        pair = catalog("shear_projection_pair")
+        report = hartwig_katz(2.0**-1040 * pair.a, 2.0**-1040 * pair.b)
+        assert max(report.residuals["cond_i"], report.residuals["ab_ep"]) <= 1e-15
 
     def test_a_largest_singular_value_beyond_the_double_range_is_inapplicable(self):
         # finite entries, but sigma_1 = 2**1024 overflows: no rank 0, no flag

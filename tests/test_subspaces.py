@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eplab import (
+    AngleReport,
+    BouldinComponents,
     DimensionMismatchError,
     InputError,
     Subspace,
@@ -27,6 +29,7 @@ from eplab import (
     subspace_sum,
     tilted_projection_pair,
 )
+from eplab import subspaces
 
 
 def span(*columns):
@@ -243,7 +246,46 @@ class TestMinimalAngle:
             minimal_angle(Subspace.trivial(2), span(e(2, 0)))
 
 
+def _two_intersection_bouldin(s, t, cfg=ToleranceConfig()):
+    """The deflated-kernel angle with W = N(s) ∩ V⊥ by a second intersection:
+    the reference for bouldin_angle's one intersection."""
+    pair = subspaces.factor_pair(s, t, cfg)
+    ns, rt = pair.fa.kernel, pair.fb.range
+    v = intersect(ns, rt, cfg)
+    w = intersect(ns, subspaces._orth(v), cfg)
+    components = BouldinComponents(v.dim, w.dim)
+    if w.dim == 0 or rt.dim == 0:
+        return AngleReport(0.0, math.pi / 2.0, components)
+    report = minimal_angle(rt, w)
+    return AngleReport(report.cos_min_angle, report.angle_radians, components)
+
+
+def _bouldin_draws():
+    """300 seeded (s, t) at n 2..7: N(s), of dimension k, shares d generic
+    directions with R(t), of dimension r, spanned with r - d others."""
+    rng = np.random.default_rng(20261021)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(0, n + 1))
+        d = int(rng.integers(0, k + 1))
+        r = int(rng.integers(d, n + 1))
+        q = np.linalg.qr(_gaussian(rng, n, n))[0]
+        s = _gaussian(rng, n, n - k) @ q[:, k:].conj().T
+        shared = q[:, :k] @ _gaussian(rng, k, d)
+        yield s, np.hstack([shared, _gaussian(rng, n, r - d)]) @ _gaussian(rng, r, n)
+
+
 class TestBouldinAngle:
+    def test_one_intersection_is_the_two_intersection_route(self):
+        seen = set()
+        for s, t in _bouldin_draws():
+            got, expected = bouldin_angle(s, t), _two_intersection_bouldin(s, t)
+            assert got.bouldin_components == expected.bouldin_components
+            assert abs(got.cos_min_angle - expected.cos_min_angle) <= 1e-14
+            parts = got.bouldin_components
+            seen.add((parts.dim_kernel_range_intersection > 0, parts.dim_deflated_kernel > 0))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_zero_times_identity_uses_trivial_convention(self):
         # kernel(S) is everything, so the deflated kernel piece is {0}:
         # the report falls back to cos 0 / angle pi/2
