@@ -136,9 +136,7 @@ def cmd_decompose(args, cfg):
 
 def cmd_fuzz(args, cfg):
     dims = parse_size_list(args.dims)
-    outcome = run_suite(
-        args.suite, args.trials, dims, seed=args.seed, jobs=args.jobs, cfg=cfg
-    )
+    outcome = run_suite(args.suite, args.trials, dims, seed=args.seed, jobs=args.jobs, cfg=cfg)
     # the jobs count is deliberately absent: the report is schedule
     # independent, so parallel and sequential runs emit identical documents
     result = {

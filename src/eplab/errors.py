@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import numbers
+
 
 class EplabError(Exception):
     """Base class for all toolkit errors."""
@@ -35,3 +37,11 @@ def require_known(name, names, what):
     """Raise InputError, listing the known ``names``, unless ``name`` is one."""
     if name not in names:
         raise InputError(f"unknown {what} {name!r}; known: {', '.join(sorted(names))}")
+
+
+def require_count(value, what, least):
+    """``value`` as an int; raises InputError unless it is a non-bool integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise InputError(f"{what} must be a {kind} integer, got {value!r}")
+    return int(value)

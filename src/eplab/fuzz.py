@@ -25,7 +25,7 @@ suites are meant to probe theorems, not floating-point cliffs).
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Record, gate
-from .errors import InapplicableError, InputError, require_known
+from .errors import InapplicableError, InputError, require_count, require_known
 from .generators import (
     _complex_gaussian,
     random_commuting_ep_pair,
@@ -174,18 +174,14 @@ def _t_powers(rng, n, cfg):
 def _t_block_kernels(rng, n, cfg):
     dec = decompose_pair(*_commuting_pair(rng, n), cfg)
     try:
-        report = block_kernel_inclusions(dec)
+        inc = block_kernel_inclusions(dec)
     except InapplicableError as exc:
         return [("applicability", False, {"error": str(exc), **dec.residuals})]
     x_norm, y_norm = (float(np.linalg.norm(m)) for m in (dec.block_x, dec.block_y))
     zero = gate(cfg, y_norm=y_norm, x_norm=x_norm)
     return [
-        ("kernel_z", report.kernel_z_included, {"residual": report.kernel_z_residual}),
-        (
-            "kernel_bprime",
-            report.kernel_bprime_included,
-            {"residual": report.kernel_bprime_residual},
-        ),
+        ("kernel_z", inc.kernel_z_included, {"residual": inc.kernel_z_residual}),
+        ("kernel_bprime", inc.kernel_bprime_included, {"residual": inc.kernel_bprime_residual}),
         ("y_zero", zero["y_norm"], {"y_norm": y_norm}),
         ("x_zero", zero["x_norm"], {"x_norm": x_norm}),
     ]
@@ -264,13 +260,10 @@ def _worker(args):
 def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     """Run ``trials`` seeded trials; violations are listed in trial order."""
     _suite(suite)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(require_count(d, "each of dims", 1) for d in dims)
+    if not dims:
         raise InputError("dims must contain positive sizes")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise InputError(f"trials must be a nonnegative integer, got {trials!r}")
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
+    trials, jobs = require_count(trials, "trials", 0), require_count(jobs, "jobs", 1)
 
     tasks = [(suite, int(seed), t, dims, cfg) for t in range(trials)]
     if jobs == 1 or trials <= 1:

@@ -348,9 +348,10 @@ def _metrics_for_pair(size, a, b, cfg, extra_residuals):
         size=int(size),
         cos_min_angle=cos,
         bouldin_cos=bouldin_angle(a, b, cfg).cos_min_angle,
-        sigma_min_plus=(
-            float(fab.s[fab.rank - 1] * fa.s[0] * fb.s[0]) if fab.rank else math.nan
-        ),
+        sigma_min_plus=float(  # each σ₁ in its operand's units, also at the range's edge
+            fab.s[fab.rank - 1]
+            * fa.decision.singular_values[0] * fb.decision.singular_values[0]
+        ) if fab.rank else math.nan,
         **gate(cfg, ab_ep=fab.ep_residual),
         residuals=extra_residuals,
     )

@@ -8,10 +8,8 @@ procedures read one memoized :class:`~eplab.subspaces.FactoredPair`, so a
 chain of them on one pair factors A, B and AB once.
 """
 
-import numpy as np
-
 from .config import DEFAULT_TOLERANCES, Record, gate
-from .errors import InapplicableError, InputError
+from .errors import InapplicableError, require_count
 from .kernel import _psd, require_square
 from .subspaces import (
     _factor,
@@ -186,11 +184,10 @@ def power_ep(a, n, cfg=DEFAULT_TOLERANCES):
     each power of A's unit-scaled form has its rank decided against 1, so a
     power that vanishes is the zero matrix, which is EP."""
     f = _factor(require_square(a), cfg)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError(f"power count must be a positive integer, got {n!r}")
+    n = require_count(n, "power count", 1)
     residuals = [f.ep_residual]
     power = f.unit
-    for _ in range(int(n) - 1):
+    for _ in range(n - 1):
         power = power @ f.unit
         residuals.append(_factor(power, cfg, 1.0).ep_residual)
     powers = gate(cfg, **{f"ep_power_{k}": r for k, r in enumerate(residuals, 1)})

@@ -99,7 +99,8 @@ class Factorization(Record, eq=False):
     carries the other columns as its complement.  Two cross matrices decide
     the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n, and so is
     R(m) = R(m*), both spaces having dimension rank m: EP reads the
-    posinormal one.
+    posinormal one.  A matrix at the range's edge (:func:`factor`) keeps its
+    2¹⁰²² multiple's ``m``, ``u``, ``s`` and ``vh``, with ``decision`` in its units.
     """
 
     m: np.ndarray
@@ -139,11 +140,7 @@ class Factorization(Record, eq=False):
         """Residual of R(m*) inside R(m), computed once."""
         return _inclusion(self, "corange", self, "range")
 
-    @_lazy
-    def ep_residual(self):
-        """Residual of R(m) = R(m*): the posinormal residual."""
-        # R(m) and R(m*) both have dimension rank m, so R(m) ⊆ R(m*) is equality
-        return self.posinormal_residual
+    ep_residual = _lazy(lambda f: f.posinormal_residual)  # R(m) = R(m*): see above
 
     @_lazy
     def projector_commutator(self):
@@ -159,14 +156,11 @@ class Factorization(Record, eq=False):
         so that products and powers of it neither overflow nor underflow."""
         if self.m is None:
             raise InapplicableError("a pair's product is never formed: it has no unit form")
-        m, s1 = self.m, self.s[0] if self.s.size else 0.0
-        if 0.0 < s1 < 2.0**-1022:  # numpy divides m by s1 through 1/s1, which overflows
-            m, s1 = m * 2.0**1022, s1 * 2.0**1022  # so scale both up, exactly
-        return m / s1 if s1 else m
+        return self.m / self.s[0] if self.s.size and self.s[0] else self.m
 
     @_lazy
     def pinv(self):
-        inverse = self._block("corange") / self.s[: self.rank]
+        inverse = self._block("corange") / self.decision.singular_values[: self.rank]
         return inverse @ self._block("range").conj().T
 
 
@@ -183,8 +177,11 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     1e-13·‖A‖‖B‖ at n = 8) has rank 0.  With a scale, a matrix whose
     Frobenius norm is at or below the threshold has rank 0 for certain
     (every singular value is at most that norm), so it is not factored:
-    ``u`` and ``vh`` are identities and ``s`` is zeros.  ``m`` is validated
-    here (:func:`~eplab.kernel.as_matrix`); a matrix eplab forms is not.
+    ``u`` and ``vh`` are identities and ``s`` is zeros.  Where the
+    threshold at σ₁, or at a larger scale, would be subnormal, a singular
+    value the decision counts could lose bits: the exact 2¹⁰²² multiple of
+    ``m`` is factored against 2¹⁰²² times the scale, and its decision is
+    put in ``m``'s units.  ``m`` is validated here (``as_matrix``).
     """
     return _factor(as_matrix(m), cfg, scale)
 
@@ -198,9 +195,13 @@ def _factor(m, cfg, scale=None):
     else:
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
-    if scale is None:
-        scale = float(s[0]) if s.size else 0.0
-    return Factorization(m, u, s, vh, decide_rank(s, m.shape, cfg, scale))
+    top = max(float(s[0]) if s.size else 0.0, scale or 0.0)  # σ₁, or a larger scale
+    if 0.0 < top and rank_threshold(top, m.shape, cfg) < 2.0**-1022:
+        up = _factor(m * 2.0**1022, cfg, scale and scale * 2.0**1022)  # both exact
+        rank, s, threshold = up.decision._values()
+        return up._replace(decision=RankDecision(rank, s / 2.0**1022, threshold / 2.0**1022))
+    decision = decide_rank(s, m.shape, cfg, top if scale is None else scale)
+    return Factorization(m, u, s, vh, decision)
 
 
 def _cond(m):

@@ -1,6 +1,8 @@
 import copy
+import inspect
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from eplab import (
     sweep,
     write_matrix,
 )
+import eplab
 from eplab import kernel, subspaces
 from eplab.cli import main
 from eplab.fuzz import SUITES, _mixed_square, run_trial
@@ -179,6 +182,61 @@ class TestRankZeroWithoutAnSvd:
         f = factor(m, DEFAULT_TOLERANCES, 1.0)
         assert full_svds == [(6, 6)]
         assert f.rank == int(np.count_nonzero(f.s > threshold))
+
+
+def _integer_matrix(seed, n=4, r=3):
+    """n x n of rank r with small integer entries: 2**k times it is stored
+    exactly for every k from -1060 to 1000."""
+    rng = np.random.default_rng(seed)
+    left, right = (rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+                   for shape in ((n, r), (r, n)))
+    return left @ right
+
+
+class TestTheRangeEdge:
+    # where the rank threshold at sigma_1 would be subnormal, factor factors
+    # the exact 2**1022 multiple of m and reports its decision in m's units
+
+    @pytest.mark.parametrize("k", [-1060, -1045, -1000])
+    def test_an_edge_matrix_is_its_unit_pairs(self, k):
+        m = _integer_matrix(-k)
+        f, ref = factor(2.0**k * m), factor(m)
+        assert f.rank == ref.rank == 3
+        np.testing.assert_array_equal(f.m, 2.0 ** (k + 1022) * m)  # the exact multiple
+        assert np.abs(f.unit - ref.unit).max() <= 1e-15
+        np.testing.assert_allclose(np.ldexp(f.s, -(k + 1022)), ref.s, rtol=1e-14)
+        # the decision in the caller's units: the multiple's, scaled back, which
+        # a subnormal holds to within its last place
+        s, threshold = f.decision.singular_values, f.decision.threshold
+        np.testing.assert_array_equal(s, f.s / 2.0**1022)
+        assert threshold == rank_threshold(f.s[0], m.shape) / 2.0**1022
+        np.testing.assert_allclose(s, 2.0**k * ref.s, rtol=1e-14, atol=2.0**-1074)
+
+    def test_pinv_reads_the_decision(self):
+        # normal inputs: bit for bit the factors' formula; at 2**-1000 (an edge
+        # whose pseudoinverse is finite): 2**1000 times the unit pair's
+        m = _integer_matrix(3)
+        f = factor(m)
+        want = (f.vh[:3].conj().T / f.s[:3]) @ f.u[:, :3].conj().T
+        assert np.array_equal(f.pinv, want)
+        np.testing.assert_allclose(np.ldexp(factor(2.0**-1000 * m).pinv.real, -1000),
+                                   f.pinv.real, rtol=0, atol=1e-14 * np.abs(f.pinv).max())
+
+    @pytest.mark.parametrize("scale, rank", [(1e12, 2), (1e14, 1), (1e15, 0)])
+    def test_an_edge_matrix_is_decided_against_the_given_scale(self, scale, rank):
+        # singular values 4, 1 and 0, against a threshold of about 3.3e-14 * scale;
+        # at 2**-1045 the Frobenius norm underflows to 0, which alone decides rank 0
+        m = np.diag([4.0, 1.0, 0.0]).astype(complex)
+        f = factor(2.0**-1045 * m, DEFAULT_TOLERANCES, 2.0**-1045 * scale)
+        assert f.rank == factor(m, DEFAULT_TOLERANCES, scale).rank == rank
+        want = 2.0**-1045 * rank_threshold(scale, m.shape)
+        assert f.decision.threshold == pytest.approx(want, rel=1e-9)
+
+    def test_only_factor_compares_with_the_bottom_of_the_range(self):
+        src = Path(eplab.__file__).parent
+        hits = {p.name: p.read_text().count("2.0**-1022") for p in src.glob("*.py")}
+        assert {name: n for name, n in hits.items() if n} == {"subspaces.py": 1}
+        assert "2.0**-1022" in inspect.getsource(subspaces._factor)
 
 
 @pytest.fixture(autouse=True)

@@ -147,7 +147,11 @@ def test_bad_dims():
         ({"trials": -1}, "^trials must be a nonnegative integer, got -1$"),
         ({"trials": 2.5}, "^trials must be a nonnegative integer, got 2.5$"),
         ({"trials": True}, "^trials must be a nonnegative integer, got True$"),
-        ({"jobs": 0}, "^jobs must be >= 1$"),
+        ({"jobs": 0}, "^jobs must be a positive integer, got 0$"),
+        ({"jobs": 1.5}, "^jobs must be a positive integer, got 1.5$"),
+        ({"jobs": True}, "^jobs must be a positive integer, got True$"),
+        ({"dims": [2.5]}, "^each of dims must be a positive integer, got 2.5$"),
+        ({"dims": [4, True]}, "^each of dims must be a positive integer, got True$"),
     ],
 )
 def test_bad_trials_and_jobs(kwargs, message):

@@ -404,27 +404,23 @@ class TestScaleSafety:
             expected.hypothesis, expected.conclusion,
         ) == (True, True)
 
-    @pytest.mark.parametrize("k", [-1040, -1030, -1000, -500, 500, 1000])
+    @pytest.mark.parametrize("k", [-1060, -1050, -1045, -1040, -1030, -1000, -500, 500, 1000])
     def test_integer_pairs_are_decided_alike_across_the_double_range(self, k):
         # 2**k times a pair of integer entries is stored exactly, subnormal
-        # (k = -1040, -1030) or not, so it is the same pair: every flag, and
-        # every error raised, is the unit pair's
+        # (k <= -1030) or not, so it is the same pair: every flag, every error
+        # raised and, within 1e-14, every unitless residual is the unit pair's.
+        # At 2**-1045 shear_projection_pair's AB reads hypo-EP only so, and its
+        # cond_i and ab_ep read 2.7e-17 only if the product keeps its bits
         pairs = [(p.a, p.b) for p in map(catalog, catalog_names())]
         for a, b in [*pairs, (np.eye(3), np.diag([2.0, 1.0, 0.0]))]:
-            assert _every_flag(2.0**k * a, 2.0**k * b) == _every_flag(a, b)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known: _factor_product scales the core by fa.s / fa.s[0], which "
-        "holds only a subnormal's bits at sigma_1 < 2**-1022 (CHANGES.md, the "
-        "FOUND line on subspaces._factor_product)",
-    )
-    def test_a_subnormal_pair_keeps_its_unit_scale_residuals(self):
-        # 2**-1040 times the pair is stored exactly; at unit scale cond_i and
-        # ab_ep read 2.7e-17, here 2.9e-13
-        pair = catalog("shear_projection_pair")
-        report = hartwig_katz(2.0**-1040 * pair.a, 2.0**-1040 * pair.b)
-        assert max(report.residuals["cond_i"], report.residuals["ab_ep"]) <= 1e-15
+            for part in ("real", "imag"):  # 2**k * a is stored exactly
+                assert np.array_equal(np.ldexp(getattr(2.0**k * a, part), -k), getattr(a, part))
+            flags, residuals = _every_outcome(2.0**k * a, 2.0**k * b)
+            unit_flags, unit_residuals = _every_outcome(a, b)
+            assert flags == unit_flags
+            assert residuals.keys() == unit_residuals.keys()
+            for key, residual in residuals.items():
+                assert abs(residual - unit_residuals[key]) <= 1e-14, (key, residual)
 
     def test_a_largest_singular_value_beyond_the_double_range_is_inapplicable(self):
         # finite entries, but sigma_1 = 2**1024 overflows: no rank 0, no flag
@@ -434,16 +430,20 @@ class TestScaleSafety:
                 procedure(m)
 
 
-def _every_flag(a, b):
-    """The flags of every report on (a, b), or the name of the error raised."""
-    procedures = (
-        lambda: classify(a), lambda: classify(b), lambda: hartwig_katz(a, b),
-        lambda: johnson_vinoth_check(a, b), lambda: group_invertible_check(a),
-        lambda: power_ep(a, 3),
-        lambda: posinormal_product_conditions(decompose_pair(a, b)),
-    )
-    flags = []
-    for procedure in procedures:
+def _every_outcome(a, b):
+    """The flags of every report on (a, b), or the name of the error raised,
+    and every residual they report, all unitless, keyed by report."""
+    procedures = {
+        "classify_a": lambda: classify(a), "classify_b": lambda: classify(b),
+        "hartwig_katz": lambda: hartwig_katz(a, b),
+        "johnson_vinoth": lambda: johnson_vinoth_check(a, b),
+        "group_invertible": lambda: group_invertible_check(a),
+        "power_ep": lambda: power_ep(a, 3),
+        "decompose": lambda: decompose_pair(a, b),
+        "posinormal_product": lambda: posinormal_product_conditions(decompose_pair(a, b)),
+    }
+    flags, residuals = [], {}
+    for name, procedure in procedures.items():
         try:
             report = procedure()
         except EplabError as exc:
@@ -451,4 +451,9 @@ def _every_flag(a, b):
             continue
         values = report if isinstance(report, list) else report._values()
         flags.append([v for v in values if type(v) is bool])
-    return flags
+        fields = getattr(report, "_fields", ())  # y_norm is a field, not a residual
+        named = getattr(report, "residuals", {}) | {
+            f: v for f, v in zip(fields, values) if type(v) is float
+        }
+        residuals |= {f"{name}.{key}": value for key, value in named.items()}
+    return flags, residuals
