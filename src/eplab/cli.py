@@ -121,8 +121,7 @@ def cmd_product(args, cfg):
 
 
 def cmd_decompose(args, cfg):
-    a = read_matrix(args.path_a)
-    b = read_matrix(args.path_b)
+    a, b = read_matrix(args.path_a), read_matrix(args.path_b)
     dec = decompose_pair(a, b, cfg)
     result = {
         "core_dim": dec.core_dim,
@@ -148,12 +147,7 @@ def cmd_fuzz(args, cfg):
         "violation_count": len(outcome.violations),
         "ok": outcome.ok,
     }
-    inputs = {
-        "suite": args.suite,
-        "trials": args.trials,
-        "dims": args.dims,
-        "seed": args.seed,
-    }
+    inputs = {"suite": args.suite, "trials": args.trials, "dims": args.dims, "seed": args.seed}
     return inputs, result, outcome.violations
 
 
@@ -174,12 +168,7 @@ def cmd_truncate(args, cfg):
         lines = [",".join(columns)]
         lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = {
-        "family": series.family,
-        "sizes": series.sizes,
-        "rows": rows,
-        "csv": args.out,
-    }
+    result = {"family": series.family, "sizes": series.sizes, "rows": rows, "csv": args.out}
     return {"family": args.family, "sizes": args.dims, "out": args.out}, result, ()
 
 
@@ -198,11 +187,10 @@ def cmd_catalog(args, cfg):
     if args.emit:
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        path_a = out_dir / f"{pair.name}_a.cmat"
-        path_b = out_dir / f"{pair.name}_b.cmat"
-        write_matrix(path_a, pair.a)
-        write_matrix(path_b, pair.b)
-        result["files"] = [str(path_a), str(path_b)]
+        paths = [out_dir / f"{pair.name}_{tag}.cmat" for tag in "ab"]
+        for path, m in zip(paths, (pair.a, pair.b)):
+            write_matrix(path, m)
+        result["files"] = [str(path) for path in paths]
     return {"name": args.name}, result, ()
 
 

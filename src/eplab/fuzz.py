@@ -264,8 +264,8 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
     if not dims:
         raise InputError("dims must contain positive sizes")
     trials, jobs = require_count(trials, "trials", 0), require_count(jobs, "jobs", 1)
-
-    tasks = [(suite, int(seed), t, dims, cfg) for t in range(trials)]
+    seed = require_count(seed, "seed", 0)
+    tasks = [(suite, seed, t, dims, cfg) for t in range(trials)]
     if jobs == 1 or trials <= 1:
         results = [_worker(task) for task in tasks]
     else:
@@ -282,7 +282,7 @@ def run_suite(suite, trials, dims, seed=0, jobs=1, cfg=DEFAULT_TOLERANCES):
         suite=suite,
         trials=trials,
         dims=dims,
-        seed=int(seed),
+        seed=seed,
         checks=sum(checks for _, checks in results),
         violations=tuple(v for vs, _ in results for v in vs),
     )

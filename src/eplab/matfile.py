@@ -76,8 +76,14 @@ def parse_matrix(text):
 
 
 def read_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CmatParseError(f"not UTF-8 text ({exc.reason})", line) from None
+    return parse_matrix(text)
 
 
 def _format_entry(value):

@@ -99,8 +99,8 @@ class Factorization(Record, eq=False):
     carries the other columns as its complement.  Two cross matrices decide
     the posinormal family: N(m) ⊆ N(m*) is R(m) ⊆ R(m*) in C^n, and so is
     R(m) = R(m*), both spaces having dimension rank m: EP reads the
-    posinormal one.  A matrix at the range's edge (:func:`factor`) keeps its
-    2¹⁰²² multiple's ``m``, ``u``, ``s`` and ``vh``, with ``decision`` in its units.
+    posinormal one.  Where σ₁ and scale are below 2⁻⁴⁸⁰ (:func:`factor`), ``m``, ``u``,
+    ``s`` and ``vh`` are the exact 2¹⁰²² multiple's, and ``decision`` is in the caller's units.
     """
 
     m: np.ndarray
@@ -175,20 +175,26 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     it cannot tell from 0 is decided as 0.  The trade-off: a product with
     ‖AB‖₂ at or below ``rank_multiplier * eps * n * ‖A‖₂‖B‖₂`` (about
     1e-13·‖A‖‖B‖ at n = 8) has rank 0.  With a scale, a matrix whose
-    Frobenius norm is at or below the threshold has rank 0 for certain
-    (every singular value is at most that norm), so it is not factored:
-    ``u`` and ``vh`` are identities and ``s`` is zeros.  Where the
-    threshold at σ₁, or at a larger scale, would be subnormal, a singular
-    value the decision counts could lose bits: the exact 2¹⁰²² multiple of
-    ``m`` is factored against 2¹⁰²² times the scale, and its decision is
-    put in ``m``'s units.  ``m`` is validated here (``as_matrix``).
+    √size·max|mᵢⱼ|, a bound on σ₁ that cannot over- or underflow, is at or
+    below the threshold has rank 0 for certain and is not factored: ``u``
+    and ``vh`` are identities and ``s`` is zeros.  Where σ₁ and the scale
+    are below 2⁻⁴⁸⁰, the exact 2¹⁰²² multiple of ``m`` is factored against
+    2¹⁰²² times the scale, and its decision is put in ``m``'s units.  The
+    bound: above it, the threshold at max(σ₁, scale) is a normal float for
+    any ``rank_multiplier`` ≥ 2⁻⁴⁹⁰, so a singular value it counts keeps its
+    bits; below it, the multiple's max(σ₁, scale) is in [2⁻⁵², 2⁵⁴²), so one
+    step decides.  ``m`` is validated here (``as_matrix``), and so is
+    ``scale``: negative or non-finite is an InputError.
     """
+    if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
+        raise InputError(f"scale must be finite and nonnegative, got {scale!r}")
     return _factor(as_matrix(m), cfg, scale)
 
 
 def _factor(m, cfg, scale=None):
     """:func:`factor` of a finite 2-D complex128 ``m`` eplab formed or checked."""
-    if scale is None or np.linalg.norm(m) > rank_threshold(scale, m.shape, cfg):
+    if scale is None or (math.sqrt(m.size) * abs(m).max(initial=0.0)
+                         > rank_threshold(scale, m.shape, cfg)):
         u, s, vh = np.linalg.svd(m, full_matrices=True)
         if s.size and not math.isfinite(s[0]):
             raise InapplicableError(f"largest singular value is not finite ({s[0]})")
@@ -196,7 +202,7 @@ def _factor(m, cfg, scale=None):
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
     top = max(float(s[0]) if s.size else 0.0, scale or 0.0)  # σ₁, or a larger scale
-    if 0.0 < top and rank_threshold(top, m.shape, cfg) < 2.0**-1022:
+    if 0.0 < top < 2.0**-480:
         up = _factor(m * 2.0**1022, cfg, scale and scale * 2.0**1022)  # both exact
         rank, s, threshold = up.decision._values()
         return up._replace(decision=RankDecision(rank, s / 2.0**1022, threshold / 2.0**1022))

@@ -98,6 +98,14 @@ class TestClassifyCommand:
         assert code == 2
         assert "line 3" in err
 
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # exit 1 would mean violations found
+        path = tmp_path / "latin1.cmat"
+        path.write_bytes(b"cmat 1 1 1\n# caf\xe9\n1\n")
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("eplab: error: line 2: not UTF-8 text")
+
     def test_inapplicable_procedure_exits_2_naming_it(self, capsys, monkeypatch):
         # a NaN residual raises InapplicableError; main prints it, not a report
         def handler(args, cfg):
@@ -243,6 +251,15 @@ class TestFuzzCommand:
         )
         assert code == 0
         assert doc["result"]["seed"] == 321
+
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_a_negative_seed_is_a_usage_error(self, capsys, monkeypatch, from_env):
+        if from_env:
+            monkeypatch.setenv("EPLAB_SEED", "-1")
+        seed = () if from_env else ("--seed", "-1")
+        code, out, err = run_cli(capsys, "fuzz", "powers", "--trials", "2", *seed)
+        assert (code, out) == (2, "")
+        assert err == "eplab: error: seed must be a nonnegative integer, got -1\n"
 
     def test_bad_suite_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "fuzz", "not_a_suite", "--trials", "1")
@@ -405,3 +422,18 @@ class TestColdStart:
         # reports are config.Record subclasses: defining one runs no exec,
         # where each frozen dataclass ran it about five times at import
         assert self.loaded_by_import("dataclasses") == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "m"], ["product", "m", "m"], ["fuzz", "hartwig_katz", "--trials", "10"]],
+)
+def test_a_tiny_rank_multiplier_is_decided_not_overflowed(argv, tmp_path, capsys):
+    # a threshold far below roundoff is the caller's choice: ranks are decided
+    # at it, and no edge rescaling overflows an ordinary matrix
+    path = str(tmp_path / "m.cmat")
+    write_matrix(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    argv = [path if arg == "m" else arg for arg in argv]
+    code, doc, err = run_json(capsys, "--tol-rank-mult", "1e-300", *argv)
+    assert (code, err) == (0, "")
+    assert doc["tolerances"]["rank_multiplier"] == 1e-300

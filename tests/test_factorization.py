@@ -2,6 +2,7 @@ import copy
 import inspect
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from eplab import (
     DimensionMismatchError,
     Factorization,
     InapplicableError,
+    InputError,
     Subspace,
     ToleranceConfig,
     block_kernel_inclusions,
@@ -174,6 +176,19 @@ class TestRankZeroWithoutAnSvd:
         assert factor(m).rank == 4
         assert full_svds == [(4, 6)]
 
+    def test_a_huge_matrix_is_compared_without_overflow(self):
+        # sqrt(size) * max|m_ij| bounds sigma_1 with no squares: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor(1e200 * np.eye(2), DEFAULT_TOLERANCES, 1e200).rank == 2
+            assert factor(1e200 * np.eye(2), DEFAULT_TOLERANCES, 1e300).rank == 0
+
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, np.nan, np.inf])
+    def test_a_bad_scale_is_an_input_error(self, scale):
+        # a negative threshold would count a zero singular value, a NaN one none
+        with pytest.raises(InputError, match="scale must be finite and nonnegative"):
+            factor(np.diag([4.0, 1.0, 0.0]), DEFAULT_TOLERANCES, scale)
+
     def test_just_above_the_threshold_is_factored(self, full_svds):
         m = _mixed(6, n=6, r=4)
         threshold = rank_threshold(1.0, m.shape, DEFAULT_TOLERANCES)
@@ -194,8 +209,32 @@ def _integer_matrix(seed, n=4, r=3):
 
 
 class TestTheRangeEdge:
-    # where the rank threshold at sigma_1 would be subnormal, factor factors
-    # the exact 2**1022 multiple of m and reports its decision in m's units
+    # where sigma_1 and the given scale are below 2**-480, factor factors the
+    # exact 2**1022 multiple of m and reports its decision in m's units
+
+    @pytest.mark.parametrize("scale, rank", [(1.0, 2), (1e12, 2), (1e14, 1), (1e15, 0)])
+    def test_a_scaled_matrix_keeps_its_rank_across_the_double_range(self, scale, rank):
+        # every k whose inputs are finite, from subnormal to near overflow
+        m = np.diag([4.0, 1.0, 0.0]).astype(complex)
+        ks = [k for k in range(-1000, 1001) if np.isfinite(2.0**k * max(4.0, scale))]
+        ranks = {k: factor(2.0**k * m, DEFAULT_TOLERANCES, 2.0**k * scale).rank for k in ks}
+        assert {k: r for k, r in ranks.items() if r != rank} == {}
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-290])
+    def test_a_tiny_matrix_at_its_own_scale_has_full_rank(self, c):
+        # its Frobenius norm would underflow to 0 and read as rank 0
+        assert factor(c * np.eye(2), DEFAULT_TOLERANCES, c).rank == 2
+
+    @pytest.mark.parametrize("multiplier", [1e-320, 1e-300, 1e-295])
+    def test_a_tiny_rank_multiplier_does_not_rescale_an_ordinary_matrix(self, multiplier):
+        # its subnormal (or zero) threshold is no edge: sigma_1 is about 5.5
+        cfg = ToleranceConfig(rank_multiplier=multiplier)
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert classify(a, cfg).rank.rank == 2
+        hartwig_katz(a, a, cfg)
+        group_invertible_check(a, cfg)
+        power_ep(a, 3, cfg)
+        decompose_pair(a, a, cfg)
 
     @pytest.mark.parametrize("k", [-1060, -1045, -1000])
     def test_an_edge_matrix_is_its_unit_pairs(self, k):
@@ -234,9 +273,9 @@ class TestTheRangeEdge:
 
     def test_only_factor_compares_with_the_bottom_of_the_range(self):
         src = Path(eplab.__file__).parent
-        hits = {p.name: p.read_text().count("2.0**-1022") for p in src.glob("*.py")}
+        hits = {p.name: p.read_text().count("2.0**-480") for p in src.glob("*.py")}
         assert {name: n for name, n in hits.items() if n} == {"subspaces.py": 1}
-        assert "2.0**-1022" in inspect.getsource(subspaces._factor)
+        assert "2.0**-480" in inspect.getsource(subspaces._factor)
 
 
 @pytest.fixture(autouse=True)

@@ -152,6 +152,9 @@ def test_bad_dims():
         ({"jobs": True}, "^jobs must be a positive integer, got True$"),
         ({"dims": [2.5]}, "^each of dims must be a positive integer, got 2.5$"),
         ({"dims": [4, True]}, "^each of dims must be a positive integer, got True$"),
+        ({"seed": -1}, "^seed must be a nonnegative integer, got -1$"),
+        ({"seed": 2.5}, "^seed must be a nonnegative integer, got 2.5$"),
+        ({"seed": True}, "^seed must be a nonnegative integer, got True$"),
     ],
 )
 def test_bad_trials_and_jobs(kwargs, message):

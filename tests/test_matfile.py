@@ -88,6 +88,14 @@ class TestRoundTrip:
         m = np.array([[1e-300, -1e300], [3.141592653589793, 1.0 + 1e-17j]])
         assert np.array_equal(parse_matrix(format_matrix(m)), m)
 
+    def test_a_file_that_is_not_utf8_reports_its_line(self, tmp_path):
+        # a Latin-1 comment on line 3: a parse error, not a UnicodeDecodeError
+        path = tmp_path / "latin1.cmat"
+        path.write_bytes(b"cmat 1 1 1\n1\n# caf\xe9\n")
+        with pytest.raises(CmatParseError, match="^line 3: not UTF-8 text") as err:
+            read_matrix(path)
+        assert err.value.line == 3
+
     def test_file_round_trip(self, tmp_path):
         m = np.array([[1.5, -2.0j], [0.0, 3.25 + 4.5j]])
         path = tmp_path / "m.cmat"
