@@ -271,6 +271,10 @@ def main(argv=None):
 
 
 def main_entry():
+    """The ``eplab`` script and ``python -m eplab.cli``: :func:`main` in a
+    process of its own, whose import-time heap no garbage collection walks."""
+    import gc  # the process's collector, which main() leaves to its caller
+    gc.freeze()  # that heap lives until exit, and forked --jobs workers share it
     raise SystemExit(main())
 
 

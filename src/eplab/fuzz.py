@@ -240,10 +240,14 @@ def _suite(name):
 def run_trial(suite, master_seed, trial, dims, cfg=DEFAULT_TOLERANCES):
     """One trial, fully determined by (suite, master_seed, trial, dims):
     its violations, one for each failed check in check order, with the
-    details a failed check builds, and its number of checks."""
-    rng = np.random.default_rng(trial_seed(master_seed, trial))
+    details a failed check builds, and its number of checks.  A seed or
+    trial that is not a nonnegative integer, or an empty ``dims``, is an
+    InputError."""
+    seed = (require_count(master_seed, "seed", 0), require_count(trial, "trial", 0))
+    if not len(dims):
+        raise InputError("dims must contain positive sizes")
+    rng = np.random.default_rng(trial_seed(*seed))
     records = _suite(suite)(rng, _pick_dim(rng, dims), cfg)
-    seed = (int(master_seed), int(trial))
     violations = [
         Violation(trial=trial, seed=seed, kind=kind,
                   details=dict(details() if callable(details) else details))

@@ -183,8 +183,11 @@ def factor(m, cfg=DEFAULT_TOLERANCES, scale=None):
     bound: above it, the threshold at max(σ₁, scale) is a normal float for
     any ``rank_multiplier`` ≥ 2⁻⁴⁹⁰, so a singular value it counts keeps its
     bits; below it, the multiple's max(σ₁, scale) is in [2⁻⁵², 2⁵⁴²), so one
-    step decides.  ``m`` is validated here (``as_matrix``), and so is
-    ``scale``: negative or non-finite is an InputError.
+    step decides.  A ``rank_multiplier`` of 1/(eps·n) or more takes no
+    multiple: its threshold is at least the scale (σ₁ without one), and the
+    multiple's could overflow, so ``m``'s own decision stands.  ``m`` is
+    validated here (``as_matrix``), and so is ``scale``: negative or
+    non-finite is an InputError.
     """
     if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
         raise InputError(f"scale must be finite and nonnegative, got {scale!r}")
@@ -202,7 +205,8 @@ def _factor(m, cfg, scale=None):
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(min(m.shape))
     top = max(float(s[0]) if s.size else 0.0, scale or 0.0)  # σ₁, or a larger scale
-    if 0.0 < top < 2.0**-480:
+    # at rank_multiplier·eps·n ≥ 1 the multiple's threshold could overflow
+    if 0.0 < top < 2.0**-480 and rank_threshold(1.0, m.shape, cfg) < 1.0:
         up = _factor(m * 2.0**1022, cfg, scale and scale * 2.0**1022)  # both exact
         rank, s, threshold = up.decision._values()
         return up._replace(decision=RankDecision(rank, s / 2.0**1022, threshold / 2.0**1022))

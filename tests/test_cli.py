@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -44,8 +45,11 @@ def _assert_same_up_to_roundoff(got, expected):
 )
 def test_the_console_script_exits_with_mains_code(argv, code, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["eplab", *argv])
-    with pytest.raises(SystemExit) as exit_:
-        main_entry()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            main_entry()
+    finally:
+        gc.unfreeze()  # main_entry froze this process's heap: give it back
     assert exit_.value.code == code
 
 
@@ -401,18 +405,41 @@ class TestSeedEnvironment:
 
 class TestColdStart:
     @staticmethod
-    def loaded_by_import(module):
-        """Whether ``import eplab.cli`` in a fresh interpreter loads
-        ``module``, as that interpreter prints it: "True" or "False"."""
+    def python(*args):
+        """The stdout of a fresh interpreter run with ``args`` and this
+        eplab on its path; it must exit 0."""
         src = str(Path(eplab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = f"import eplab.cli, sys; print({module!r} in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, *args],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        return out.stdout.strip()
+        return out.stdout
+
+    def loaded_by_import(self, module):
+        """Whether ``import eplab.cli`` in a fresh interpreter loads
+        ``module``, as that interpreter prints it: "True" or "False"."""
+        code = f"import eplab.cli, sys; print({module!r} in sys.modules)"
+        return self.python("-c", code).strip()
+
+    @pytest.mark.parametrize("call, frozen", [("main_entry()", True), ("main(['catalog'])", False)])
+    def test_only_the_process_entry_freezes_the_heap(self, call, frozen):
+        # the console script's import-time heap lives until exit, so no
+        # collection need walk it; an in-process caller's collector is its own
+        code = (
+            "import gc, sys\n"
+            "from eplab.cli import main, main_entry\n"
+            "sys.argv = ['eplab', 'catalog']\n"
+            f"try:\n    {call}\nexcept SystemExit:\n    pass\n"
+            "print(gc.get_freeze_count() > 0)\n"
+        )
+        assert self.python("-c", code).splitlines()[-1] == str(frozen)
+
+    def test_workers_forked_from_the_frozen_heap_print_the_same_envelope(self):
+        argv = ["-m", "eplab.cli", "fuzz", "hartwig_katz", "--trials", "40",
+                "--dims", "2:8", "--seed", "7"]
+        assert self.python(*argv, "--jobs", "2") == self.python(*argv, "--jobs", "1")
 
     def test_import_does_not_load_the_process_pool(self):
         # multiprocessing is imported only by a run with --jobs above 1

@@ -278,6 +278,26 @@ class TestTheRangeEdge:
         assert "2.0**-480" in inspect.getsource(subspaces._factor)
 
 
+@pytest.mark.parametrize(
+    "m, scale, want",
+    [
+        (1e100 * np.eye(2), 2.0**-500, 2.0**-500),  # skipped: max|m| is below the threshold
+        (2.0**-600 * np.eye(2), 2.0**-500, 2.0**-500),
+        (1e-150 * np.eye(2), None, 1e-150),  # factored: sigma_1 is the scale
+    ],
+)
+def test_a_huge_rank_multiplier_at_the_range_edge_does_not_overflow(m, scale, want):
+    # at rank_multiplier * eps * n >= 1 the threshold is at least the scale, so
+    # rank 0 is decided in m's own units; the 2**1022 multiple of that threshold
+    # would be inf
+    cfg = ToleranceConfig(rank_multiplier=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = factor(m, cfg, scale)
+    assert f.rank == 0
+    assert f.decision.threshold == rank_threshold(want, m.shape, cfg)  # about 1e134
+
+
 @pytest.fixture(autouse=True)
 def forget_pair():
     """Empties the one-entry pair memo before and after each test, so a

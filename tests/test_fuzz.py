@@ -162,6 +162,23 @@ def test_bad_trials_and_jobs(kwargs, message):
         run_suite("collapse", **{"trials": 1, "dims": [4], **kwargs})
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 0, (2, 3)), "^seed must be a nonnegative integer, got -1$"),
+        ((True, 0, (2, 3)), "^seed must be a nonnegative integer, got True$"),
+        ((1.5, 0, (2, 3)), "^seed must be a nonnegative integer, got 1.5$"),
+        ((0, -1, (2, 3)), "^trial must be a nonnegative integer, got -1$"),
+        ((0, 1.5, (2, 3)), "^trial must be a nonnegative integer, got 1.5$"),
+        ((0, 0, ()), "^dims must contain positive sizes$"),
+    ],
+)
+def test_run_trial_rejects_bad_arguments(args, message):
+    # the exported single trial checks what run_suite checks for it
+    with pytest.raises(InputError, match=message):
+        run_trial("powers", *args)
+
+
 def test_trial_replay_is_identical():
     # replaying a trial from its seed must reproduce identical residuals
     for suite in ("hartwig_katz", "collapse", "block_kernels"):
